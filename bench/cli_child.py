@@ -1,21 +1,19 @@
 """Run one `hh` invocation under the span tracer (the traced cli-mix run).
 
-    python3 -X importtime bench/cli_child.py SPANS_JSON [hh arguments ...]
+    python3 bench/cli_child.py SPANS_JSON [hh arguments ...]
 
-Imports the CLI first, so `-X importtime` attributes numpy and scipy to the
-package, then wraps the library, runs ``cli.main`` and writes the spans, the
-time spent in ``main`` and the tracemalloc peak of the largest special-layer
-call to SPANS_JSON.  Exits with ``main``'s code.
+Wraps the library, runs ``cli.main`` and writes the spans and the
+tracemalloc peak of the largest special-layer call to SPANS_JSON.  Exits
+with ``main``'s code.  It gives spans and work counts only: the cli's
+import and compute times come from untraced `python -m heisenberg_hardy.cli`
+runs.
 """
 
+import json
 import sys
 
 from heisenberg_hardy import cli, geometry, hardy, numerics, special
-
-import json  # noqa: E402
-import time  # noqa: E402
-
-from tracer import Tracer  # noqa: E402
+from tracer import Tracer
 
 
 def main():
@@ -23,14 +21,11 @@ def main():
     tracer = Tracer()
     tracer.install({"special": special, "numerics": numerics, "geometry": geometry,
                     "hardy": hardy, "cli": cli})
-    t0 = time.perf_counter_ns()
     try:
         code = cli.main(argv)
     finally:
-        main_ns = time.perf_counter_ns() - t0
         tracer.uninstall()
-    report = {"spans": tracer.spans, "main_ms": main_ns / 1e6,
-              "peak_alloc": tracer.peak_alloc_bytes()}
+    report = {"spans": tracer.spans, "peak_alloc": tracer.peak_alloc_bytes()}
     with open(spans_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, separators=(",", ":"))
     return code

@@ -6,12 +6,13 @@ Run from the repository root:
 
 Each workload is a closed loop: one client, one process, no worker threads,
 BLAS/OpenMP pools capped at one thread in every process it launches.  With
-``--trace 0`` the operations run untraced for ``--seconds`` seconds of
-operation time and the end-to-end metrics of BENCHMARK.json are reported;
-with ``--trace 1`` a fixed prefix of the same seeded stream runs untraced
-(twice: the first pass warms up) and then under the span tracer, and the
-per-layer metrics are reported.  Every output is checked (outside the timed region).  The last
-line of standard output is one JSON object
+``--trace 0`` whole passes of the stream run untraced until ``--seconds``
+seconds of operation time have passed, and the end-to-end metrics of
+BENCHMARK.json are reported; with ``--trace 1`` a fixed prefix of the same
+seeded stream runs untraced (twice: the first pass warms up) and then under
+the span tracer, and the per-layer metrics are reported.  Every output is
+checked, outside the timed region.  The last line of standard output is one
+JSON object
 ``{"correct", "attempted", "failed", "metrics"}``.  See bench/README.md.
 """
 
@@ -36,9 +37,14 @@ import tracer as tracing  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("cli-mix", "chart-points", "hardy-quotients", "kernel-bulk")
-SETUP_RUNS = 5          # fresh interpreters per run; setup_s is their median
+SETUP_RUNS = 7          # fresh interpreters per run; setup_s is their median
 IMPORT_RUNS = 3         # -X importtime interpreters per traced run
+IMPORTTIME_CLI = [sys.executable, "-X", "importtime", "-m", "heisenberg_hardy.cli"]
 MIN_OPS = 11            # op_tail_ms needs ten samples beyond it
+# A kernel-bulk pass is five calls, of which eval_weights takes ~6x any
+# other; with at least 11 passes its calls hold the whole tail, so
+# op_tail_ms is an eval_weights latency however many passes fit.
+MIN_PASSES = {"kernel-bulk": 11}
 
 OUT_DIR = ".bench_out"
 
@@ -80,9 +86,11 @@ def fingerprint():
 def parse_importtime(stderr):
     """(package import ms, scipy import ms) from `python -X importtime` output.
 
-    The package figure is the cumulative time of `heisenberg_hardy` (which
-    pulls in numpy and scipy) plus `heisenberg_hardy.cli` when imported; the
-    scipy figure sums the self time of every scipy module."""
+    The package figure sums the cumulative time of every top-level import of
+    `heisenberg_hardy` or one of its modules (the package pulls in numpy and
+    scipy; under `-m heisenberg_hardy.cli` the package is imported first and
+    the cli runs as __main__).  The scipy figure sums the self time of every
+    scipy module, wherever it was imported."""
     package = scipy_us = 0
     for line in stderr.decode("utf-8", "replace").splitlines():
         if not line.startswith("import time:") or "|" not in line:
@@ -93,7 +101,8 @@ def parse_importtime(stderr):
         except ValueError:
             continue
         name = parts[2].strip()
-        if name in ("heisenberg_hardy", "heisenberg_hardy.cli"):
+        top_level = not parts[2].startswith("  ")
+        if top_level and (name == "heisenberg_hardy" or name.startswith("heisenberg_hardy.")):
             package += cum_us
         if name == "scipy" or name.startswith("scipy."):
             scipy_us += self_us
@@ -116,20 +125,31 @@ def time_child(argv, env):
 
 def measure(name, seed, seconds, env):
     check = workloads.CHECKS[name]
-    setup = [time_child([sys.executable, "-c", workloads.SETUP_CODE[name]], env)[0]
-             for _ in range(SETUP_RUNS)]
+    setup = []
 
+    def set_up():
+        setup.append(time_child([sys.executable, "-c", workloads.SETUP_CODE[name]], env)[0])
+
+    # The set-up interpreters are spread over the timed phase (between
+    # operations, off the clock), so setup_s sees the same host as the
+    # other metrics rather than the speed of one second.
+    set_up()
     ops = workloads.stream(name, np.random.default_rng(seed), OUT_DIR, env)
     latencies, failures, child_rss = [], [], 0
     # In-process workloads run their first pass untimed, so lazy imports and
     # first-touch allocations are done; setup_s measures that cost in fresh
-    # interpreters.
+    # interpreters.  The timed phase ends on a pass boundary, so every run
+    # times whole passes and the mix of operations does not depend on speed.
     first_timed = 0 if name == "cli-mix" else 1
+    min_passes = MIN_PASSES.get(name, 1)
     pass_index, attempted = -1, 0
     busy, budget = 0, int(seconds * 1e9)
-    while busy < budget or len(latencies) < MIN_OPS:
-        op = next(ops)
-        pass_index += op.starts_pass
+    for op in ops:
+        if op.starts_pass:
+            pass_index += 1
+            if (pass_index - first_timed >= min_passes and busy >= budget
+                    and len(latencies) >= MIN_OPS):
+                break
         dt, out, failure = workloads.run_op(op, check)
         attempted += 1
         if failure:
@@ -140,6 +160,10 @@ def measure(name, seed, seconds, env):
         latencies.append(dt)
         if name == "cli-mix" and out is not None:
             child_rss = max(child_rss, out[3])
+        while len(setup) < 1 + (SETUP_RUNS - 1) * min(busy, budget) / budget:
+            set_up()
+    while len(setup) < SETUP_RUNS:
+        set_up()
     rss = child_rss if name == "cli-mix" else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     value, pct, samples = tail(latencies)
@@ -152,7 +176,8 @@ def measure(name, seed, seconds, env):
     }
     notes = {
         "setup_s": f"median of {SETUP_RUNS} fresh interpreters",
-        "ops_per_s": f"{len(latencies)} ops in {busy / 1e9:.3f} s of operation time",
+        "ops_per_s": f"{len(latencies)} ops ({pass_index - first_timed} passes) in "
+                     f"{busy / 1e9:.3f} s of operation time",
         "op_tail_ms": f"p{pct:.2f} of {samples} samples, 10 beyond it",
         "peak_rss_mb": "max over `hh` child processes" if name == "cli-mix" else "this process",
     }
@@ -172,27 +197,49 @@ def trace(name, seed, env):
     interp_start_ms = statistics.median(start) * 1e3
 
     spans_path = os.path.join(OUT_DIR, "child-spans.json")
-    child = [sys.executable, "-X", "importtime", os.path.join("bench", "cli_child.py"),
-             spans_path]
     count = workloads.TRACE_OPS[name]
-    plain_stream = workloads.stream(name, np.random.default_rng(seed), OUT_DIR, env)
-    plain = [next(plain_stream) for _ in range(count)]
-    traced_stream = workloads.stream(name, np.random.default_rng(seed), OUT_DIR, env,
-                                     prefix=child if name == "cli-mix" else None)
-    traced = [next(traced_stream) for _ in range(count)]
+
+    def prefix_ops(prefix=None):
+        ops = workloads.stream(name, np.random.default_rng(seed), OUT_DIR, env, prefix=prefix)
+        return [next(ops) for _ in range(count)]
+
+    def unchecked(op):
+        return workloads.run_op(op, lambda op, out: None)
 
     # The first pass warms caches and lazy imports; the second is the baseline.
+    plain = prefix_ops()
     for _ in range(2):
-        untraced_ns = sum(workloads.run_op(op, lambda op, out: None)[0] for op in plain)
+        baseline = [unchecked(op) for op in plain]
+    untraced_ns = sum(dt for dt, _, _ in baseline)
 
+    imports, scipys, compute, bytes_out = [], [], [], 0
+    if name == "cli-mix":
+        # Import figures come from the same invocations, untraced, under
+        # -X importtime; compute is the rest of the baseline invocation.
+        for op, (dt, out, _) in zip(prefix_ops(IMPORTTIME_CLI), baseline):
+            package_ms, scipy_ms = parse_importtime(unchecked(op)[1][2])
+            imports.append(package_ms)
+            scipys.append(scipy_ms)
+            compute.append(dt / 1e6 - interp_start_ms - package_ms)
+            bytes_out += len(out[1])
+    else:
+        for _ in range(IMPORT_RUNS):
+            _, err = time_child([sys.executable, "-X", "importtime", "-c",
+                                 workloads.SETUP_CODE[name]], env)
+            package_ms, scipy_ms = parse_importtime(err)
+            imports.append(package_ms)
+            scipys.append(scipy_ms)
+
+    # The traced pass: the library is wrapped in this process, and for
+    # cli-mix in each `hh` child, which sends its spans back.
+    child = [sys.executable, os.path.join("bench", "cli_child.py"), spans_path]
     tr = tracing.Tracer()
-    failures, traced_ns = [], 0
-    imports, scipys, compute, bytes_out, peak_alloc = [], [], [], 0, 0
+    failures, traced_ns, peak_alloc = [], 0, 0
     tr.install(workloads._lib())
     try:
-        for op in traced:
+        for op in prefix_ops(child if name == "cli-mix" else None):
             tr.paused = False
-            dt, out, failure = workloads.run_op(op, lambda op, out: None)
+            dt, out, failure = unchecked(op)
             traced_ns += dt
             tr.paused = True          # checks call the library too; not traced
             failure = failure or check(op, out)
@@ -203,22 +250,10 @@ def trace(name, seed, env):
                     report = json.load(fh)
                 tr.extend(report["spans"])
                 peak_alloc = max(peak_alloc, report["peak_alloc"])
-                package_ms, scipy_ms = parse_importtime(out[2])
-                imports.append(package_ms)
-                scipys.append(scipy_ms)
-                compute.append(report["main_ms"])
-                bytes_out += len(out[1])
     finally:
         tr.uninstall()
-
     if name != "cli-mix":
         peak_alloc = tr.peak_alloc_bytes()
-        for _ in range(IMPORT_RUNS):
-            _, err = time_child([sys.executable, "-X", "importtime", "-c",
-                                    workloads.SETUP_CODE[name]], env)
-            package_ms, scipy_ms = parse_importtime(err)
-            imports.append(package_ms)
-            scipys.append(scipy_ms)
 
     metrics = tracing.layer_metrics(tr.spans)
     metrics["special.peak_alloc_mb"] = peak_alloc / 1e6

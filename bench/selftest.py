@@ -147,11 +147,13 @@ class Tracing(unittest.TestCase):
         spans = [
             [0, None, "root", "hardy", 0, 100, {}],
             [1, 0, "a", "numerics", 10, 30, {}],
-            [2, 0, "b", "special", 25, 50, {}],      # overlaps a: union is 10..50
-            [3, 1, "c", "special", 12, 20, {}],
-            [4, 0, "d", "special", 90, 120, {}],     # runs past its parent: clipped
+            [2, 1, "c", "special", 12, 20, {}],
+            [3, 1, "d", "special", 22, 25, {}],
+            [4, 0, "b", "special", 40, 90, {}],
+            [5, None, "other", "special", 200, 210, {}],
         ]
-        self.assertEqual(tracer.self_times(spans), {0: 100 - 40 - 10, 1: 12, 2: 25, 3: 8, 4: 30})
+        self.assertEqual(tracer.self_times(spans),
+                         {0: 100 - 20 - 50, 1: 20 - 8 - 3, 2: 8, 3: 3, 4: 50, 5: 10})
 
     def test_wrapping_counts_work(self):
         def integrate(f, a, b):
@@ -187,8 +189,11 @@ class Tracing(unittest.TestCase):
         text = (b"import time: self [us] | cumulative | imported package\n"
                 b"import time:       500 |        900 |     scipy._lib\n"
                 b"import time:       100 |       1200 |   scipy.linalg\n"
-                b"import time:       300 |       9000 | heisenberg_hardy\n")
-        self.assertEqual(run.parse_importtime(text), (9.0, 0.6))
+                b"import time:       200 |        400 |   heisenberg_hardy.special\n"
+                b"import time:       300 |       9000 | heisenberg_hardy\n"
+                b"import time:       100 |       1000 | heisenberg_hardy.cli\n"
+                b"import time:        50 |         50 | runpy\n")
+        self.assertEqual(run.parse_importtime(text), (10.0, 0.6))
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ For every workload, each set runs ``bench/run.py --trace 0`` once per seed
 (set j uses seeds j*N+1 .. j*N+N), and reports for every end-to-end metric
 the median and the spread, the distance between the first and third quartile
 (``statistics.quantiles(values, n=4)``) as a share of the median.  A metric
-passes when its spread is within its bound in BENCHMARK.json (``setup_s``
-excepted) and no set's median is worse than the first set's by more than the
-bound.  Then ``--trace 1`` runs on the trace seeds in every set, and every
-work count (unit ``count`` or ``bytes``, and the tracemalloc peak) must be
-identical between sets.  Exits 1 when any check fails.
+passes when its spread is within its bound in BENCHMARK.json and no set's
+median is worse than the first set's by more than the bound.  Then
+``--trace 1`` runs on TRACE_SEEDS in every set, and every work count (unit
+``count`` or ``bytes``, and the tracemalloc peak) must be identical between
+sets.  Exits 1 when any check fails.
 """
 
 import argparse
@@ -21,6 +21,7 @@ import sys
 
 EXACT_UNITS = ("count", "bytes")
 EXACT_NAMES = ("special.peak_alloc_mb",)
+TRACE_SEEDS = (1, 2)
 
 
 def run(workload, seed, seconds, trace):
@@ -48,10 +49,8 @@ def main():
     parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    parser.add_argument("--trace-seeds", default="1,2")
     args = parser.parse_args()
     workloads = args.workloads.split(",")
-    trace_seeds = [int(s) for s in args.trace_seeds.split(",") if s]
     ok = True
 
     values = {}          # (workload, set, metric) -> [values]
@@ -77,14 +76,14 @@ def main():
                 else:
                     worse = (median - first) / first if metric["better"] == "lower" \
                         else (first - median) / first
-                good = (name == "setup_s" or share <= bound) and worse <= bound
+                good = share <= bound and worse <= bound
                 ok &= good
                 print(f"{w:16s} set {k} {name:12s} median {median:12.5g} {metric['unit']:4s} "
                       f"spread {share:7.2%} (bound {bound:.0%}, a third {bound / 3:.1%}) "
                       f"worse-than-set-0 {worse:+7.2%}  {'ok' if good else 'FAIL'}")
 
     for w in workloads:
-        for seed in trace_seeds:
+        for seed in TRACE_SEEDS:
             counts = []
             for _ in range(args.sets):
                 metrics = run(w, seed, args.seconds, 1)["metrics"]

@@ -158,30 +158,12 @@ class Tracer:
 
 
 def self_times(spans):
-    """Self time of every span: its duration minus the part of its interval
-    covered by its children (union of child intervals, clipped to the span)."""
-    children = {}
-    for sid, parent, *_ in spans:
+    """Self time of every span: its duration minus the durations of its
+    direct children (spans nest strictly, see the module docstring)."""
+    out = {s[0]: s[5] - s[4] for s in spans}
+    for _, parent, _, _, t0, t1, _ in spans:
         if parent is not None:
-            children.setdefault(parent, []).append(sid)
-    by_id = {s[0]: s for s in spans}
-    out = {}
-    for sid, _, _, _, t0, t1, _ in spans:
-        covered = 0
-        cur_lo = cur_hi = None
-        for lo, hi in sorted((max(by_id[c][4], t0), min(by_id[c][5], t1))
-                             for c in children.get(sid, ())):
-            if hi <= lo:
-                continue
-            if cur_hi is None or lo > cur_hi:
-                if cur_hi is not None:
-                    covered += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        if cur_hi is not None:
-            covered += cur_hi - cur_lo
-        out[sid] = (t1 - t0) - covered
+            out[parent] -= t1 - t0
     return out
 
 

@@ -502,9 +502,9 @@ def check_cli(op, out):
     return None
 
 
-def cli_defects(out_dir, env, prefix=None):
+def cli_defects(out_dir, env):
     return [(f"hh check frame --n={n} --seed={seed}",
-             cli_op(["check", "frame", f"--n={n}", f"--seed={seed}"], out_dir, env, prefix),
+             cli_op(["check", "frame", f"--n={n}", f"--seed={seed}"], out_dir, env),
              "all_passed")
             for n, seed in ((1, 36), (2, 45))]
 
