@@ -179,8 +179,8 @@ def _apply_block(m2, xi):
     return pairs.reshape(-1)
 
 def _A(r):
-    sr, cr = math.sin(r), math.cos(r)
-    return np.array([[sr, cr - 1.0], [1.0 - cr, sr]])
+    sr, h = math.sin(r), 2.0 * math.sin(0.5 * r) ** 2    # h = 1 - cos r
+    return np.array([[sr, -h], [h, sr]])
 
 def _A_prime(r):
     sr, cr = math.sin(r), math.cos(r)
@@ -192,6 +192,14 @@ def _A_over_r(r):
     s = float(np.sinc(arr / math.pi)[0])          # sin(r)/r
     h = 0.5 * float(r) * float(_c2(arr)[0])       # (1 - cos r)/r
     return np.array([[s, -h], [h, s]])
+
+def _A_prime_minus_A_over_r(r, c2r, q1r):
+    """A'(r) - A(r)/r from the kernels c2(r), q1(r): diagonal
+    -r^2 (c2/2 - q1), off-diagonal +-(r (c2/2 - 1) + r^3 q1), which do not
+    cancel near r = 0."""
+    dg = -r * r * (0.5 * c2r - q1r)
+    off = r * (0.5 * c2r - 1.0) + r ** 3 * q1r
+    return np.array([[dg, off], [-off, dg]])
 
 
 # ----------------------------------------------------------------------
@@ -297,20 +305,21 @@ def jacobian(c):
     varpi = c.varpi
     arr = np.atleast_1d(r)
     A = _A(r)
-    Ap = _A_prime(r)
     Aor = _A_over_r(r)
+    q1r = float(_q1(arr)[0])
 
     cols = np.empty((dim, dim))
     # d/dt column
     cols[:-1, 0] = _apply_block(Aor, varpi)
-    cols[-1, 0] = t * r * float(_q1(arr)[0])
+    cols[-1, 0] = t * r * q1r
     # sphere columns
     tangent = _complete_basis([varpi], 2 * n)
     for j, th in enumerate(tangent):
         cols[:-1, 1 + j] = (t / r) * _apply_block(A, th)
         cols[-1, 1 + j] = 0.0
     # d/dr column
-    cols[:-1, -1] = (t / r) * _apply_block(Ap - A / r, varpi)
+    cols[:-1, -1] = (t / r) * _apply_block(
+        _A_prime_minus_A_over_r(r, float(_c2(arr)[0]), q1r), varpi)
     cols[-1, -1] = -0.5 * t * t * float(_k3(arr)[0])
 
     det = float(np.linalg.det(cols))
@@ -371,11 +380,12 @@ def frame(c):
     q1r = float(_q1(arr)[0])
     c2r = float(_c2(arr)[0])
     k3r = float(_k3(arr)[0])
-    root = math.sqrt(2.0 - 2.0 * math.cos(r))
+    root = 2.0 * abs(math.sin(0.5 * r))      # sqrt(2 - 2 cos r)
 
     # pushforwards
     v1 = TangentVec(base=point, v_xi=_apply_block(Ap, varpi), v_z=0.25 * t * r * c2r)
-    xi2 = vv * _apply_block(A, Jvarpi) + ww * _apply_block(Ap - A / r, varpi)
+    xi2 = (vv * _apply_block(A, Jvarpi)
+           + ww * _apply_block(_A_prime_minus_A_over_r(r, c2r, q1r), varpi))
     v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * special.rw(r) * k3r)
     vecs = [v1, v2]
     wdirs = _complete_basis([varpi, Jvarpi], 2 * n)

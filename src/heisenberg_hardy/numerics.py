@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf
 
 
 class QuadratureError(RuntimeError):
@@ -251,23 +252,27 @@ class EigResult:
     bracket: tuple
 
 
-def _sturm_count(d, e2, lam):
-    """Number of eigenvalues of the tridiagonal (d, e) strictly below lam.
+def _min_eig_bracket(d, e, bisect_tol):
+    """Bracket (lo, hi) of the smallest eigenvalue of the symmetric
+    tridiagonal with diagonal ``d`` and off-diagonal ``e``.
 
-    Classic Sturm sequence via the LDL^T pivots; e2 holds the squared
-    off-diagonal entries.
+    Barth, Martin & Wilkinson's Sturm bisection, asking only whether any
+    eigenvalue lies at or below lambda, i.e. whether T - lambda I is not
+    positive definite: LAPACK ``dpttrf`` factors it as L D L^T and stops at
+    the first pivot <= 0, so a zero pivot moves ``hi``.  Stops once
+    hi - lo <= bisect_tol * max(1, |lo|, |hi|).
     """
-    count = 0
-    t = d[0] - lam
-    if t < 0.0:
-        count += 1
-    for i in range(1, len(d)):
-        if t == 0.0:
-            t = -1e-300
-        t = (d[i] - lam) - e2[i - 1] / t
-        if t < 0.0:
-            count += 1
-    return count
+    hi = float(np.min(d))
+    hi += 1e-12 * max(1.0, abs(hi))
+    lo = float(np.min(d - np.abs(np.concatenate(([0.0], e))) - np.abs(np.concatenate((e, [0.0])))))
+    lo = min(lo, 0.0)
+    while hi - lo > bisect_tol * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if dpttrf(d - mid, e)[2] != 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def sl_min_eig(problem, bisect_tol=1e-10):
@@ -276,10 +281,15 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     Second-order finite volumes on a staggered grid: fluxes use ``p`` at
     cell midpoints, masses use ``q`` at the nodes.  With the natural right
     condition the last node sits half a cell inside ``b`` so the free
-    endpoint is handled without one-sided differences.  The eigenvalue is
-    located by Sturm-sequence bisection and then polished by inverse
-    iteration; the returned value is the Rayleigh quotient of the computed
-    eigenvector, so it is an upper bound for the discrete minimum.
+    endpoint is handled without one-sided differences.
+
+    With S = diag(q^(-1/2)) the problem becomes a symmetric tridiagonal T.
+    Its smallest eigenvalue is bracketed by bisection on the definiteness
+    of T - lambda I, tested by a compiled LDL^T factorization (LAPACK
+    ``dpttrf``); ``bracket`` is the final (lo, hi), of width at most
+    ``bisect_tol * max(1, |lo|, |hi|)``.  The value is then polished by
+    inverse iteration; the returned value is the Rayleigh quotient of the
+    computed eigenvector, so it is an upper bound for the discrete minimum.
 
     Raises
     ------
@@ -328,20 +338,8 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     s = 1.0 / np.sqrt(qv)
     d = diag * s * s
     e = off * s[:-1] * s[1:]
-    e2 = e * e
 
-    d_list = d.tolist()
-    e2_list = e2.tolist()
-    hi = float(np.min(d))
-    hi += 1e-12 * max(1.0, abs(hi))
-    lo = float(np.min(d - np.abs(np.concatenate(([0.0], e))) - np.abs(np.concatenate((e, [0.0])))))
-    lo = min(lo, 0.0)
-    while hi - lo > bisect_tol * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if _sturm_count(d_list, e2_list, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _min_eig_bracket(d, e, bisect_tol)
 
     # Inverse iteration from a shift just below the bisection bracket.
     y = np.full(m, 1.0 / math.sqrt(m))

@@ -255,6 +255,34 @@ def test_frame_properties(n):
         assert abs(tsq - (1.0 + ww * ww) / (ww * ww)) < 1e-9 * tsq
 
 
+def _unit(n):
+    varpi = np.zeros(2 * n)
+    varpi[0] = 1.0
+    return varpi
+
+
+@pytest.mark.parametrize("c", [
+    Polar(t=1.0, varpi=_unit(2), r=1e-6),
+    Polar(t=1.0, varpi=_unit(2), r=1e-8),
+    Polar(t=1.0, varpi=_unit(2), r=-1e-8),
+    Polar(t=1.0, varpi=_unit(2), r=TWO_PI - 1e-9),
+    to_polar(Point(np.full(4, 0.5 * math.sqrt(1e-9)), 1.0)),
+], ids=["r=1e-6", "r=1e-8", "r=-1e-8", "2pi-r=1e-9", "near-center"])
+def test_frame_orthonormal_at_chart_edges(c):
+    # 1 - cos r and sqrt(2 - 2 cos r) cancel to 0 for |r| <~ 1e-8, and
+    # A'(r) - A(r)/r cancels near r = 0; the frame must use the stable forms.
+    fr = frame(c)
+    mat = np.stack([vec.v_xi for vec in fr.vectors])
+    assert np.all(np.isfinite(fr.polar_forms))
+    assert np.max(np.abs(mat @ mat.T - np.eye(mat.shape[0]))) < 1e-9
+    for vec in fr.vectors:
+        _, resid = is_horizontal(vec)
+        assert resid < 1e-9
+    det = jacobian(c).det
+    ref = c.t ** (2 * c.n + 1) * special.mu(c.r, c.n)
+    assert abs(det - ref) < 1e-9 * ref
+
+
 def test_frame_polar_forms_push_forward():
     # Applying the polar components of each frame vector to the coordinate
     # pushforwards must reproduce the ambient vector: a_t Phi_* d/dt +

@@ -16,7 +16,9 @@ from heisenberg_hardy.numerics import (
     sphere_integral,
     sphere_surface_area,
 )
-from heisenberg_hardy import numerics
+from heisenberg_hardy import hardy, numerics, special
+
+TWO_PI = special.TWO_PI
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +164,67 @@ def test_sl_eigvec_shape_and_normalization():
     assert lo <= res.lambda_min
     # the fundamental mode of the free-end problem has no interior node
     assert np.all(res.eigvec > -1e-10)
+
+
+def _dense_min_eig(problem):
+    """Smallest eigenvalue of the standard-form matrix S K S, S = diag(q^(-1/2)),
+    of the finite-volume discretization, assembled densely and solved by
+    numpy's symmetric eigensolver."""
+    m, a, b = problem.grid_n, problem.a, problem.b
+    natural = problem.right_bc == "natural"
+    dx = (b - a) / (m + (0.5 if natural else 1.0))
+    x = a + dx * np.arange(1, m + 1)
+    # fluxes at the m + 1 cell faces; the free end carries no flux
+    faces = np.asarray(problem.p(np.append(x - 0.5 * dx, b - 0.5 * dx)), dtype=float)
+    if natural:
+        faces[-1] = 0.0
+    k = (np.diag(faces[:-1] + faces[1:]) - np.diag(faces[1:-1], 1)
+         - np.diag(faces[1:-1], -1)) / dx ** 2
+    s = 1.0 / np.sqrt(np.asarray(problem.q(x), dtype=float))
+    return float(np.linalg.eigvalsh(s[:, None] * k * s[None, :])[0])
+
+
+def _perp_problem(n, rho, grid_n):
+    # the weighted perpendicular problem of hardy.sl_perp_estimate
+    return SLProblem(p=lambda r: special.rw(r) ** 2 / r * special.mu(r, n),
+                     q=lambda r: r * special.mu(r, n), a=rho, b=TWO_PI,
+                     grid_n=grid_n, right_bc="natural")
+
+
+@pytest.mark.parametrize("case", ["euler", "perp-weighted-n2"])
+def test_sl_matches_dense_reference(case):
+    bisect_tol = 1e-10
+    if case == "euler":
+        problem = SLProblem(p=lambda x: x * x, q=_const, a=1.0, b=math.e,
+                            grid_n=256, right_bc="dirichlet")
+        res = sl_min_eig(problem, bisect_tol=bisect_tol)
+    else:
+        cone = hardy.ConeSpec.from_rho(2, math.pi / 2)
+        problem = _perp_problem(2, cone.rho, 256)
+        res = hardy.sl_perp_estimate(cone, grid_n=256, weighted=True)
+    ref = _dense_min_eig(problem)
+    assert abs(res.lambda_min - ref) <= 1e-10 * abs(ref)
+    lo, hi = res.bracket
+    slack = 1e-13 * abs(ref)
+    assert lo - slack <= ref <= hi + slack
+    assert hi - lo <= bisect_tol * max(1.0, abs(lo), abs(hi))
+
+
+def test_sl_bracket_zero_pivot_moves_hi():
+    # T = lam I + (path Laplacian with free ends): T - lam I = L D L^T with
+    # D = (1, ..., 1, 0), computed exactly in floating point.  The bisection
+    # starts from lo = 0 (every Gershgorin bound is lam > 0) and
+    # hi0 = min(d) (1 + 1e-12), and lam is the float for which the first
+    # midpoint hi0/2 is exactly lam.  The exact zero pivot must count as
+    # "not positive definite", so hi lands on lam.
+    lam = 1.0 + 9008 * 2.0 ** -52
+    lap = np.concatenate(([1.0], np.full(30, 2.0), [1.0]))
+    d, e = lam + lap, -np.ones(31)
+    assert np.array_equal(d - lam, lap)
+    assert numerics.dpttrf(d - lam, e)[2] == 32
+    lo, hi = numerics._min_eig_bracket(d, e, 1e-10)
+    assert hi == lam
+    assert lo < lam
 
 
 def test_sl_validation_errors():
