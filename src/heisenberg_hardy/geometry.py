@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .special import TWO_PI, _c2, _k3, _q1
+from .special import TWO_PI, _c2, _k3, _m3, _q1
 from .numerics import integrate
 
 
@@ -375,18 +375,20 @@ def frame(c):
     A = _A(r)
     Ap = _A_prime(r)
     Jvarpi = _J(varpi)
-    vv = special.v(r)
-    ww = special.w(r)
     q1r = float(_q1(arr)[0])
     c2r = float(_c2(arr)[0])
+    m3r = float(_m3(arr)[0])
     k3r = float(_k3(arr)[0])
+    rwr = c2r / (2.0 * m3r)                  # r w(r)
+    vv = q1r / (m3r * r)
+    ww = c2r / (2.0 * m3r * r)
     root = 2.0 * abs(math.sin(0.5 * r))      # sqrt(2 - 2 cos r)
 
     # pushforwards
     v1 = TangentVec(base=point, v_xi=_apply_block(Ap, varpi), v_z=0.25 * t * r * c2r)
     xi2 = (vv * _apply_block(A, Jvarpi)
            + ww * _apply_block(_A_prime_minus_A_over_r(r, c2r, q1r), varpi))
-    v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * special.rw(r) * k3r)
+    v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * rwr * k3r)
     vecs = [v1, v2]
     wdirs = _complete_basis([varpi, Jvarpi], 2 * n)
     sgn = math.copysign(1.0, r)

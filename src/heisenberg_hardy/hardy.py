@@ -346,16 +346,14 @@ def sharpness_sweep(cone, gammas=None, width_factor=0.1, tol=1e-10):
         if gam > 0.0:
             raise ValueError("sharpness_sweep: gamma must lie in (-1/2, 0]")
 
-        def weight(r, _g=gam):
-            return (special.rw(r) * special.mu(r, n)) ** (2.0 * _g)
-
         def num_band(r, _g=gam):
-            wv = special.rw(r) / r
-            return (r * special.mu(r, n) * weight(r, _g)
-                    * (chi.dfn(r) * wv - n * _g * chi.fn(r)) ** 2)
+            rwv, muv = special.rw(r), special.mu(r, n)
+            return (r * muv * (rwv * muv) ** (2.0 * _g)
+                    * (chi.dfn(r) * (rwv / r) - n * _g * chi.fn(r)) ** 2)
 
         def den_band(r, _g=gam):
-            return chi.fn(r) ** 2 * weight(r, _g) * r * special.mu(r, n)
+            rwv, muv = special.rw(r), special.mu(r, n)
+            return chi.fn(r) ** 2 * (rwv * muv) ** (2.0 * _g) * r * muv
 
         d_band = integrate(den_band, rho, b1, tol=tol).value
         n_band = integrate(num_band, rho, b1, tol=tol).value

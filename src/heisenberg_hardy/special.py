@@ -70,15 +70,18 @@ def _join(out, scalar):
     return float(out[0]) if scalar else out
 
 
-def _q1(r):
-    """(r - sin r)/r^3, stable on all of [-2*pi, 2*pi]."""
+def _series_or_closed(r, coef, closed):
+    """Even series ``coef`` where |r| < SERIES_SWITCH, ``closed(r)`` elsewhere."""
     small = np.abs(r) < SERIES_SWITCH
     out = np.empty_like(r)
-    rs = r[small]
-    out[small] = _polyval_even(_Q1_COEF, rs)
-    rb = r[~small]
-    out[~small] = (rb - np.sin(rb)) / rb ** 3
+    out[small] = _polyval_even(coef, r[small])
+    out[~small] = closed(r[~small])
     return out
+
+
+def _q1(r):
+    """(r - sin r)/r^3, stable on all of [-2*pi, 2*pi]."""
+    return _series_or_closed(r, _Q1_COEF, lambda x: (x - np.sin(x)) / x ** 3)
 
 
 def _c2(r):
@@ -88,13 +91,8 @@ def _c2(r):
 
 def _m3(r):
     """(2 - 2 cos r - r sin r)/r^4."""
-    small = np.abs(r) < SERIES_SWITCH
-    out = np.empty_like(r)
-    rs = r[small]
-    out[small] = _polyval_even(_M3_COEF, rs)
-    rb = r[~small]
-    out[~small] = (2.0 - 2.0 * np.cos(rb) - rb * np.sin(rb)) / rb ** 4
-    return out
+    return _series_or_closed(
+        r, _M3_COEF, lambda x: (2.0 - 2.0 * np.cos(x) - x * np.sin(x)) / x ** 4)
 
 
 def _m4(r):
@@ -104,13 +102,8 @@ def _m4(r):
 
 def _k3(r):
     """(r - 2 sin r + r cos r)/r^3; appears in the z-row of the Jacobian."""
-    small = np.abs(r) < SERIES_SWITCH
-    out = np.empty_like(r)
-    rs = r[small]
-    out[small] = _polyval_even(_K3_COEF, rs)
-    rb = r[~small]
-    out[~small] = (rb - 2.0 * np.sin(rb) + rb * np.cos(rb)) / rb ** 3
-    return out
+    return _series_or_closed(
+        r, _K3_COEF, lambda x: (x - 2.0 * np.sin(x) + x * np.cos(x)) / x ** 3)
 
 
 def eval_phi(r):
@@ -266,23 +259,26 @@ def eval_weights(r, n=1):
         raise ValueError("eval_weights: |r| must not exceed 2*pi")
     if n < 1 or n != int(n):
         raise ValueError("eval_weights: n must be a positive integer")
+    q1, c2, m3 = _q1(arr), _c2(arr), _m3(arr)
+    m4 = q1 + m3
     with np.errstate(divide="ignore"):
-        phi_val = np.where(arr == 0.0, np.inf, 2.0 * _c2(arr) / (_q1(arr) * np.where(arr == 0.0, 1.0, arr)))
-        end = np.abs(arr) == TWO_PI
-        phi_val = np.where(end, np.copysign(0.0, arr), phi_val)
-        w_val = np.where(arr == 0.0, np.inf, _c2(arr) / (2.0 * _m3(arr) * np.where(arr == 0.0, 1.0, arr)))
-        v_val = np.where(arr == 0.0, np.inf, _q1(arr) / (_m3(arr) * np.where(arr == 0.0, 1.0, arr)))
-    vals = SpecialValue(
+        phi_val = 2.0 * c2 / (q1 * arr)
+        w_val = c2 / (2.0 * m3 * arr)
+        v_val = q1 / (m3 * arr)
+    pole = arr == 0.0
+    phi_val[pole] = w_val[pole] = v_val[pole] = np.inf
+    end = np.abs(arr) == TWO_PI
+    phi_val[end] = np.copysign(0.0, arr[end])
+    return SpecialValue(
         r=_join(arr, scalar),
         phi=_join(phi_val, scalar),
-        mu=_join(mu(arr, n), scalar),
+        mu=_join(m3 * c2 ** (n - 1), scalar),
         v=_join(v_val, scalar),
         w=_join(w_val, scalar),
-        gamma=_join(gamma(arr), scalar),
-        eta=_join(eta(arr), scalar),
+        gamma=_join(math.sqrt(2.0) * m4 ** 0.25, scalar),
+        eta=_join(c2 / (4.0 * m4), scalar),
         psi_weight=_join(arr.copy(), scalar),
     )
-    return vals
 
 
 @dataclass(frozen=True)

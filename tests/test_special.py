@@ -10,6 +10,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from heisenberg_hardy import special
 from heisenberg_hardy.special import (
@@ -168,6 +171,47 @@ def test_eval_weights_consistency_and_poles():
     at_zero = eval_weights(0.0)
     assert math.isinf(at_zero.v) and math.isinf(at_zero.w)
     assert at_zero.mu == 1.0 / 12.0
+
+
+_EDGE_R = st.sampled_from([0.0, -0.0, 0.25, -0.25, TWO_PI, -TWO_PI])
+_ANY_R = st.one_of(_EDGE_R, st.floats(-TWO_PI, TWO_PI))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(deadline=None)
+@given(n=st.sampled_from([1, 2, 3]),
+       r=hnp.arrays(np.float64, st.integers(1, 40), elements=_ANY_R))
+def test_eval_weights_bit_equal_to_named_functions(n, r):
+    nz = r != 0.0
+    with np.errstate(divide="ignore", over="ignore"):   # phi, v, w ~ 1/r overflow near 0
+        sv = eval_weights(r, n)
+        named = {"phi": eval_phi(r[nz]), "v": v(r)[nz], "w": w(r)[nz]}
+    for name, ref in named.items():
+        np.testing.assert_array_equal(_bits(getattr(sv, name))[nz], _bits(ref))
+    for got, ref in ((sv.mu, mu(r, n)), (sv.gamma, gamma(r)), (sv.eta, eta(r))):
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
+    for pole in (sv.phi, sv.v, sv.w):
+        assert np.all(pole[~nz] == np.inf)
+
+
+def test_eval_weights_computes_each_kernel_once(monkeypatch):
+    counts = {}
+
+    def counted(name):
+        kernel = getattr(special, name)
+
+        def wrapper(r):
+            counts[name] = counts.get(name, 0) + 1
+            return kernel(r)
+        return wrapper
+
+    for name in ("_q1", "_c2", "_m3"):
+        monkeypatch.setattr(special, name, counted(name))
+    eval_weights(np.linspace(-TWO_PI, TWO_PI, 101), n=2)
+    assert counts == {"_q1": 1, "_c2": 1, "_m3": 1}
 
 
 def test_garofalo_identity_naive_form_agrees_where_conditioned():
