@@ -90,9 +90,10 @@ def _c2(r):
 
 
 def _m3(r):
-    """(2 - 2 cos r - r sin r)/r^4."""
+    """(2 - 2 cos r - r sin r)/r^4, with 2 - 2 cos r = 4 sin(r/2)^2 so that
+    nothing cancels but the final difference, also near |r| = 2*pi."""
     return _series_or_closed(
-        r, _M3_COEF, lambda x: (2.0 - 2.0 * np.cos(x) - x * np.sin(x)) / x ** 4)
+        r, _M3_COEF, lambda x: (4.0 * np.sin(0.5 * x) ** 2 - x * np.sin(x)) / x ** 4)
 
 
 def _m4(r):

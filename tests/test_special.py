@@ -56,18 +56,16 @@ SAMPLE_R = [1e-8, 1e-4, 0.01, 0.2, 0.24999, 0.25001, 0.3, 1.0, 2.0,
 
 def test_kernels_match_extended_precision():
     # q1 and c2 hold ~1 ulp everywhere (c2 goes through the half-angle
-    # sine).  m3 gives up a couple of digits just above the series switch
-    # (the 2 - 2cos r vs r sin r cancellation) and degrades in *relative*
-    # terms approaching its zero at 2*pi, where 2 - 2cos r is pure noise
-    # against r sin r; the absolute error stays at the 1e-16 r^-4 level,
-    # which is what every downstream quantity depends on.
+    # sine).  m3 gives up about a digit just above the series switch, where
+    # 4 sin(r/2)^2 and r sin r still nearly cancel; because 2 - 2cos r is
+    # taken as 4 sin(r/2)^2, it keeps full relative accuracy up to its zero
+    # at 2*pi.
     for r in SAMPLE_R:
         arr = np.array([r])
         assert abs(float(special._q1(arr)[0]) - float(_mp_q1(r))) <= 1e-14 * float(_mp_q1(r))
         assert abs(float(special._c2(arr)[0]) - float(_mp_c2(r))) <= 1e-14 * float(_mp_c2(r))
         m3_ref = float(_mp_m3(r))
-        m3_tol = 1e-12 if r <= TWO_PI - 1e-3 else 1e-8
-        assert abs(float(special._m3(arr)[0]) - m3_ref) <= m3_tol * abs(m3_ref)
+        assert abs(float(special._m3(arr)[0]) - m3_ref) <= 1e-13 * abs(m3_ref)
 
 
 def test_phi_matches_extended_precision():
@@ -156,6 +154,10 @@ def test_eta_equals_w_form():
     rs = np.linspace(1e-3, TWO_PI - 1e-3, 400)
     ww = w(rs)
     assert np.max(np.abs(eta(rs) - ww ** 2 / (1.0 + ww ** 2))) < 1e-12
+    # next to 2*pi eta -> 0, so compare relatively
+    edge = np.array([TWO_PI - 1e-6, TWO_PI - 1e-8])
+    ww = w(edge)
+    assert np.max(np.abs(eta(edge) / (ww ** 2 / (1.0 + ww ** 2)) - 1.0)) < 1e-12
 
 
 def test_eval_weights_consistency_and_poles():
