@@ -3,8 +3,7 @@
 Reports are deterministic: all randomness is seeded through ``--seed``, all
 numbers are serialized with 17 significant digits, and nothing
 time- or machine-dependent is written, so identical argv produce
-byte-identical output (the ``HH_THREADS`` cap never changes results, only
-how sweeps would be scheduled; evaluation here is sequential).
+byte-identical output.
 
 Exit codes: 0 success, 2 validation error (bad arguments/domain), 3
 numerical failure (tolerance not reachable).
@@ -12,7 +11,6 @@ numerical failure (tolerance not reachable).
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -185,7 +183,7 @@ def _random_polar(rng, n, t_range=(0.1, 10.0), r_min=1e-6, r_max=TWO_PI - 1e-6):
 # Subcommand implementations
 # ----------------------------------------------------------------------
 
-def _cmd_eval(args, cfg):
+def _cmd_eval(args):
     fn = args.fn
     r = args.r
     n = args.n
@@ -198,7 +196,7 @@ def _cmd_eval(args, cfg):
     return _report("eval", {"fn": fn, "r": r, "n": n}, {"value": float(value)})
 
 
-def _cmd_invert_phi(args, cfg):
+def _cmd_invert_phi(args):
     r = special.invert_phi(args.a)
     if args.a == 0.0 or math.isinf(args.a):
         resid = 0.0
@@ -208,14 +206,14 @@ def _cmd_invert_phi(args, cfg):
                    {"residual": 1e-12}, {"phi_roundtrip": resid})
 
 
-def _cmd_dist(args, cfg):
+def _cmd_dist(args):
     p = geometry.Point(_parse_vec(args.xi, "--xi"), args.z)
     c = geometry.to_polar(p)
     return _report("dist", {"xi": p.xi, "z": p.z},
                    {"distance": c.t, "t": c.t, "varpi": c.varpi, "r": c.r})
 
 
-def _cmd_to_polar(args, cfg):
+def _cmd_to_polar(args):
     p = geometry.Point(_parse_vec(args.xi, "--xi"), args.z)
     c = geometry.to_polar(p)
     back = geometry.from_polar(c)
@@ -225,7 +223,7 @@ def _cmd_to_polar(args, cfg):
                    {"roundtrip": 1e-9}, {"roundtrip": resid})
 
 
-def _cmd_from_polar(args, cfg):
+def _cmd_from_polar(args):
     c = geometry.Polar(args.t, _parse_vec(args.varpi, "--varpi"), args.r)
     p = geometry.from_polar(c)
     if c.t > 0.0:
@@ -239,7 +237,7 @@ def _cmd_from_polar(args, cfg):
                    {"roundtrip": 1e-9}, {"roundtrip": resid})
 
 
-def _cmd_geodesic(args, cfg):
+def _cmd_geodesic(args):
     varpi = _parse_vec(args.varpi, "--varpi")
     varpi = varpi / np.linalg.norm(varpi)
     if args.tmax <= 0 or args.steps < 1:
@@ -265,9 +263,9 @@ def _cmd_geodesic(args, cfg):
                    {"delta_vs_s": 1e-9}, {"max_delta_error": max_err})
 
 
-def _cmd_check_frame(args, cfg):
+def _cmd_check_frame(args):
     n = args.n
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(args.seed)
     tol = 1e-9
     gram_max = horiz_max = tnorm_max = eik_max = 0.0
     for _ in range(args.samples):
@@ -289,7 +287,7 @@ def _cmd_check_frame(args, cfg):
         _check_entry("t_field_norm", tnorm_max, tol),
     ]
     return _checks_report("check frame",
-                          {"n": n, "samples": args.samples, "seed": cfg["seed"]}, entries)
+                          {"n": n, "samples": args.samples, "seed": args.seed}, entries)
 
 
 def _fd_jacobian_det(c, h=1e-5):
@@ -312,9 +310,9 @@ def _fd_jacobian_det(c, h=1e-5):
     return abs(float(np.linalg.det(cols)))
 
 
-def _cmd_check_jacobian(args, cfg):
+def _cmd_check_jacobian(args):
     n = args.n
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(args.seed)
     formula_max = fd_max = 0.0
     for _ in range(args.samples):
         c = _random_polar(rng, n, t_range=(0.5, 3.0), r_min=1e-2, r_max=TWO_PI - 1e-2)
@@ -327,11 +325,11 @@ def _cmd_check_jacobian(args, cfg):
         _check_entry("det_vs_finite_difference", fd_max, 1e-6),
     ]
     return _checks_report("check jacobian",
-                          {"n": n, "samples": args.samples, "seed": cfg["seed"]}, entries)
+                          {"n": n, "samples": args.samples, "seed": args.seed}, entries)
 
 
-def _cmd_check_identities(args, cfg):
-    grid = cfg["grid"] if cfg["grid"] is not None else 10_000
+def _cmd_check_identities(args):
+    grid = args.grid if args.grid is not None else 10_000
     rep = special.check_identities(args.n, grid_size=grid)
     entries = [
         _check_entry("rwmu_derivative", rep.residual_rwmu, 1e-6),
@@ -353,18 +351,18 @@ def _random_sphere_poly(rng, dim, max_terms=6, max_degree=4):
     return SpherePoly(dim, terms)
 
 
-def _cmd_check_divergence(args, cfg):
+def _cmd_check_divergence(args):
     n = args.n
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(20):
         poly = _random_sphere_poly(rng, 2 * n)
         worst = max(worst, abs(sphere_integral(poly.rotation_derivative(), n)))
     entries = [_check_entry("rotation_divergence", worst, 1e-12)]
-    return _checks_report("check divergence", {"n": n, "seed": cfg["seed"]}, entries)
+    return _checks_report("check divergence", {"n": n, "seed": args.seed}, entries)
 
 
-def _cmd_check_annulus(args, cfg):
+def _cmd_check_annulus(args):
     n = args.n
     one = hardy.constant_profile(1.0, (0.0, math.inf))
     t2 = hardy.power_profile(2.0, (0.0, math.inf))
@@ -392,11 +390,11 @@ _CHECKS = {
 }
 
 
-def _cmd_check(args, cfg):
-    return _CHECKS[args.what](args, cfg)
+def _cmd_check(args):
+    return _CHECKS[args.what](args)
 
 
-def _cmd_cone_bounds(args, cfg):
+def _cmd_cone_bounds(args):
     cone = hardy.ConeSpec.from_alpha(args.n, args.alpha)
     rep = hardy.cone_bounds(cone)
     return _report("cone-bounds", {"n": args.n, "alpha": args.alpha},
@@ -405,7 +403,7 @@ def _cmd_cone_bounds(args, cfg):
                     "koranyi_upper": rep.koranyi_upper})
 
 
-def _cmd_koranyi_bound(args, cfg):
+def _cmd_koranyi_bound(args):
     value = hardy.koranyi_upper_bound(args.n)
     n2 = float(args.n * args.n)
     return _report("koranyi-bound", {"n": args.n},
@@ -413,7 +411,7 @@ def _cmd_koranyi_bound(args, cfg):
                    {"strictly_below": n2}, {"margin": n2 - value})
 
 
-def _cmd_radial(args, cfg):
+def _cmd_radial(args):
     if args.kmax < 4:
         raise ValueError("radial: kmax must be at least 4")
     ks = []
@@ -431,7 +429,7 @@ def _cmd_radial(args, cfg):
                    {"last_value": values[-1]})
 
 
-def _cmd_sharpness(args, cfg):
+def _cmd_sharpness(args):
     cone = hardy.ConeSpec.from_rho(args.n, args.rho)
     gammas = hardy.default_gamma_schedule(args.steps)
     pairs = hardy.sharpness_sweep(cone, gammas)
@@ -445,9 +443,9 @@ def _cmd_sharpness(args, cfg):
                    {"min_margin": min_value - target})
 
 
-def _cmd_sl(args, cfg):
+def _cmd_sl(args):
     cone = hardy.ConeSpec.from_rho(args.n, args.rho)
-    grid = cfg["grid"] if cfg["grid"] is not None else 1024
+    grid = args.grid if args.grid is not None else 1024
     res = hardy.sl_perp_estimate(cone, grid_n=grid, weighted=args.weighted)
     return _report("sl",
                    {"n": args.n, "rho": args.rho, "grid": grid,
@@ -456,7 +454,7 @@ def _cmd_sl(args, cfg):
                     "bracket_lo": res.bracket[0], "bracket_hi": res.bracket[1]})
 
 
-def _cmd_euclid(args, cfg):
+def _cmd_euclid(args):
     value = hardy.euclid_quotient(args.d, args.a, args.gamma)
     expected = args.gamma * args.gamma
     return _report("euclid", {"d": args.d, "a": args.a, "gamma": args.gamma},
@@ -464,8 +462,8 @@ def _cmd_euclid(args, cfg):
                    {"match": 1e-8}, {"abs_error": abs(value - expected)})
 
 
-def _cmd_curves(args, cfg):
-    grid = cfg["grid"] if cfg["grid"] is not None else 1024
+def _cmd_curves(args):
+    grid = args.grid if args.grid is not None else 1024
     if grid < 32:
         raise ValueError("curves: grid must be at least 32")
     fn = special.v if args.fn == "v" else special.w
@@ -484,8 +482,6 @@ def _cmd_curves(args, cfg):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8)
-    common.add_argument("--max-evals", type=int, default=1_000_000)
     common.add_argument("--grid", type=int, default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -573,38 +569,16 @@ def _build_parser():
     return parser
 
 
-def _read_threads():
-    raw = os.environ.get("HH_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HH_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise ValueError("HH_THREADS must be >= 1")
-    return threads
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = {
-        "tol": args.tol,
-        "max_evals": args.max_evals,
-        "grid": args.grid,
-        "seed": args.seed,
-        # parallelism cap; evaluation is sequential, results never depend on it
-        "threads": None,
-    }
     try:
-        if args.tol <= 0:
-            raise ValueError("--tol must be positive")
         if args.grid is not None and args.grid < 32:
             raise ValueError("--grid must be at least 32")
-        cfg["threads"] = _read_threads()
-        report = args.func(args, cfg)
+        report = args.func(args)
         text = dumps_csv(report) if args.format == "csv" else dumps_report(report)
     except (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 Every subcommand is exercised through a real subprocess; reports are
 validated against the bundled JSON schema and must be byte-identical
-across repeated runs and across HH_THREADS settings.
+across repeated runs and across the numeric libraries' thread counts.
 """
 
 import json
@@ -51,6 +51,10 @@ ALL_COMMANDS = [
 ]
 
 
+# Thread caps of the BLAS/OpenMP pools under numpy and scipy.
+_ONE_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def _run(args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
@@ -73,7 +77,7 @@ def test_subcommand_runs_and_validates(args):
 def test_byte_identical_across_runs_and_threads(args):
     a = _run(args)
     b = _run(args)
-    c = _run(args, env_extra={"HH_THREADS": "7"})
+    c = _run(args, env_extra=_ONE_THREAD)
     assert a.returncode == b.returncode == c.returncode == 0
     assert a.stdout == b.stdout == c.stdout
 
@@ -161,16 +165,10 @@ def test_validation_errors_exit_2(args):
     assert proc.stderr.startswith("error:")
 
 
-def test_bad_hh_threads_exit_2():
-    for value in ("0", "-3", "junk"):
-        proc = _run(["eval", "--fn", "phi", "--r", "1.0"], env_extra={"HH_THREADS": value})
-        assert proc.returncode == 2
-        assert "HH_THREADS" in proc.stderr
-
-
-def test_threads_never_serialized():
-    proc = _run(["check", "identities", "--n", "1"], env_extra={"HH_THREADS": "5"})
-    assert "HH_THREADS" not in proc.stdout and "threads" not in proc.stdout
+def test_removed_tol_and_max_evals_exit_2(capsys):
+    for option in (["--tol", "1e-3"], ["--max-evals", "10"]):
+        assert cli.main(["koranyi-bound", "--n", "1"] + option) == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_3(monkeypatch, capsys):
