@@ -186,11 +186,14 @@ def _A_prime(r):
     sr, cr = math.sin(r), math.cos(r)
     return np.array([[cr, -sr], [sr, cr]])
 
-def _A_over_r(r):
-    """A(r)/r, removable at r = 0: diag sinc(r), off-diagonal -+ r c2(r)/2."""
-    arr = np.atleast_1d(float(r))
-    s = float(np.sinc(arr / math.pi)[0])          # sin(r)/r
-    h = 0.5 * float(r) * float(_c2(arr)[0])       # (1 - cos r)/r
+def _at(kernel, r):
+    """A vectorized kernel evaluated at the scalar r, as a float."""
+    return float(kernel(np.atleast_1d(r))[0])
+
+def _A_over_r(r, c2r):
+    """A(r)/r from c2(r), removable at r = 0: diag sinc(r), off-diagonal -+ r c2(r)/2."""
+    s = _at(np.sinc, r / math.pi)                 # sin(r)/r
+    h = 0.5 * r * c2r                             # (1 - cos r)/r
     return np.array([[s, -h], [h, s]])
 
 def _A_prime_minus_A_over_r(r, c2r, q1r):
@@ -216,10 +219,12 @@ def from_polar(c):
     t, r = c.t, c.r
     if abs(r) == TWO_PI:
         return Point(np.zeros_like(c.varpi), math.copysign(t * t / (4.0 * math.pi), r))
-    xi = t * _apply_block(_A_over_r(r), c.varpi)
-    arr = np.atleast_1d(r)
-    z = 0.5 * t * t * r * float(_q1(arr)[0])
-    return Point(xi, z)
+    return _point(t, c.varpi, r, _at(_q1, r), _at(_c2, r))
+
+
+def _point(t, varpi, r, q1r, c2r):
+    """Phi(t, varpi, r) for |r| < 2*pi from the kernels q1(r), c2(r)."""
+    return Point(t * _apply_block(_A_over_r(r, c2r), varpi), 0.5 * t * t * r * q1r)
 
 
 def to_polar(p):
@@ -245,11 +250,17 @@ def to_polar(p):
         return Polar(nxi, p.xi / nxi, 0.0)
     rmag = special.invert_phi(a)
     r = math.copysign(rmag, p.z)
-    t = rmag * nxi / (2.0 * math.sin(0.5 * rmag))
-    # varpi_i = (r/t) A(r)^T xi_i / (2 - 2 cos r): stable blockwise form
+    if rmag > math.pi:
+        # sin(r/2) vanishes at 2*pi, so near the center it amplifies the
+        # rounding of r; the height z = t^2 r q1(r)/2 gives t without it.
+        t = math.sqrt(2.0 * abs(p.z) / (rmag * _at(_q1, rmag)))
+    else:
+        t = rmag * nxi / (2.0 * math.sin(0.5 * rmag))
+    # varpi_i = (r/t) A(r)^T xi_i / (2 - 2 cos r) = B xi_i / t: stable
+    # blockwise form, normalized without the 1/t, which can underflow it.
     half_cot = 0.5 * rmag / math.tan(0.5 * rmag)
     B = np.array([[half_cot, 0.5 * r], [-0.5 * r, half_cot]])
-    varpi = _apply_block(B, p.xi) / t
+    varpi = _apply_block(B, p.xi)
     varpi = varpi / float(np.linalg.norm(varpi))
     return Polar(t, varpi, r)
 
@@ -303,10 +314,9 @@ def jacobian(c):
     n = c.n
     dim = 2 * n + 1
     varpi = c.varpi
-    arr = np.atleast_1d(r)
     A = _A(r)
-    Aor = _A_over_r(r)
-    q1r = float(_q1(arr)[0])
+    q1r, c2r = _at(_q1, r), _at(_c2, r)
+    Aor = _A_over_r(r, c2r)
 
     cols = np.empty((dim, dim))
     # d/dt column
@@ -319,8 +329,8 @@ def jacobian(c):
         cols[-1, 1 + j] = 0.0
     # d/dr column
     cols[:-1, -1] = (t / r) * _apply_block(
-        _A_prime_minus_A_over_r(r, float(_c2(arr)[0]), q1r), varpi)
-    cols[-1, -1] = -0.5 * t * t * float(_k3(arr)[0])
+        _A_prime_minus_A_over_r(r, c2r, q1r), varpi)
+    cols[-1, -1] = -0.5 * t * t * _at(_k3, r)
 
     det = float(np.linalg.det(cols))
     if det < 0.0:
@@ -342,9 +352,8 @@ def grad_delta(p):
     if float(np.linalg.norm(p.xi)) == 0.0:
         raise ValueError("grad_delta: undefined on the center xi = 0")
     c = to_polar(p)
-    arr = np.atleast_1d(c.r)
     v_xi = _apply_block(_A_prime(c.r), c.varpi)
-    v_z = 0.25 * c.t * c.r * float(_c2(arr)[0])
+    v_z = 0.25 * c.t * c.r * _at(_c2, c.r)
     return TangentVec(base=p, v_xi=v_xi, v_z=v_z)
 
 
@@ -370,15 +379,11 @@ def frame(c):
         raise ValueError("frame: requires t > 0 and 0 < |r| < 2*pi")
     n = c.n
     varpi = c.varpi
-    arr = np.atleast_1d(r)
-    point = from_polar(c)
+    q1r, c2r, m3r, k3r = (_at(kernel, r) for kernel in (_q1, _c2, _m3, _k3))
+    point = _point(t, varpi, r, q1r, c2r)
     A = _A(r)
     Ap = _A_prime(r)
     Jvarpi = _J(varpi)
-    q1r = float(_q1(arr)[0])
-    c2r = float(_c2(arr)[0])
-    m3r = float(_m3(arr)[0])
-    k3r = float(_k3(arr)[0])
     rwr = c2r / (2.0 * m3r)                  # r w(r)
     vv = q1r / (m3r * r)
     ww = c2r / (2.0 * m3r * r)

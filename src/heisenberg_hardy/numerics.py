@@ -178,8 +178,9 @@ def find_root_monotone(f, lo, hi, tol=1e-12, df=None, coarse=1e-4, max_iter=300)
     Newton iteration safeguarded by the bracket when a derivative ``df``
     is supplied (pure bisection otherwise).  Iterates until
     |f(x)| <= tol * scale with scale = max(1, |f(lo)|, |f(hi)|), or until
-    the bracket collapses to rounding level -- so ``tol=0`` polishes the
-    root to ~1 ulp.
+    the bracket is within 4 eps of its end points (a relative test, floored
+    at the smallest normal float) -- so ``tol=0`` polishes the root to
+    ~1 ulp, given ``max_iter`` halvings enough to reach its scale.
 
     Raises
     ------
@@ -210,7 +211,7 @@ def find_root_monotone(f, lo, hi, tol=1e-12, df=None, coarse=1e-4, max_iter=300)
             lo = x
         else:
             hi = x
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= 4.0 * np.finfo(float).eps * max(np.finfo(float).tiny, abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
         step = None
         if df is not None and hi - lo <= coarse:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -181,6 +182,38 @@ def test_cc_distance_examples():
     assert abs(cc_distance(Point(np.zeros(2), 1.0)) - math.sqrt(4.0 * math.pi)) < 1e-14
 
 
+def _mp_cc_distance(nxi, z):
+    """r |xi| / (2 sin(r/2)) where phi(r) = |xi|^2/|z| < 8, by Newton in 40
+    digits on s = 2*pi - r, with sin(r/2) = sin(s/2) and 1 - cos s = 2 sin(s/2)^2."""
+    with mpmath.workdps(40):
+        nxi = mpmath.mpf(nxi)
+        log_a = 2 * mpmath.log(nxi) - mpmath.log(abs(z))
+        s = mpmath.sqrt(mpmath.pi) * mpmath.exp(log_a / 2)     # phi ~ s^2/pi
+        for _ in range(10):
+            h, d = 2 * mpmath.sin(s / 2) ** 2, 2 * mpmath.pi - s + mpmath.sin(s)
+            s -= (mpmath.log(4 * h / d) - log_a) / (mpmath.cot(s / 2) + h / d)
+        return float((2 * mpmath.pi - s) * nxi / (2 * mpmath.sin(s / 2)))
+
+
+@pytest.mark.parametrize("xi, z", [(1e-8, 1.0), (1e-12, 1.0), (1e-150, 1e150)])
+def test_cc_distance_near_center_matches_mpmath(xi, z):
+    # r |xi| / (2 sin(r/2)) divides by a sine that vanishes at 2*pi, so it
+    # amplifies the rounding of r there (|xi|^2/|z| = 1e-450 even underflows
+    # to r = 2*pi); the height form t = sqrt(2 |z| / (|r| q1(r))) does not.
+    ref = _mp_cc_distance(xi, z)
+    assert abs(cc_distance(Point(np.array([xi, 0.0]), z)) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("z", [1e-16, 1e-20, -1e-20])
+def test_round_trip_near_the_plane(z):
+    # r ~ 12 z is far below 1; a root finder that stops on an absolute
+    # bracket width returns r ~ 1e-16 and z ~ 3e-17 here.
+    p = Point(np.array([1.0, 0.0]), z)
+    back = from_polar(to_polar(p))
+    assert abs(back.z - z) <= 1e-12 * abs(z)
+    assert np.max(np.abs(back.xi - p.xi)) <= 1e-12
+
+
 # ----------------------------------------------------------------------
 # Jacobian
 # ----------------------------------------------------------------------
@@ -281,6 +314,31 @@ def test_frame_orthonormal_at_chart_edges(c):
     det = jacobian(c).det
     ref = c.t ** (2 * c.n + 1) * special.mu(c.r, c.n)
     assert abs(det - ref) < 1e-9 * ref
+
+
+def test_frame_and_jacobian_evaluate_each_kernel_once(monkeypatch):
+    import heisenberg_hardy.geometry as geometry
+    counts = {}
+
+    def counted(name):
+        kernel = getattr(geometry, name)
+
+        def wrapper(r):
+            counts[name] = counts.get(name, 0) + 1
+            return kernel(r)
+        return wrapper
+
+    for name in ("_q1", "_c2", "_m3", "_k3"):
+        monkeypatch.setattr(geometry, name, counted(name))
+    c = Polar(t=1.3, varpi=_unit(2), r=2.0)
+    frame(c)
+    assert counts == {"_q1": 1, "_c2": 1, "_m3": 1, "_k3": 1}
+    counts.clear()
+    jacobian(c)
+    assert counts == {"_q1": 1, "_c2": 1, "_k3": 1}
+    counts.clear()
+    from_polar(c)
+    assert counts == {"_q1": 1, "_c2": 1}
 
 
 def test_frame_polar_forms_push_forward():

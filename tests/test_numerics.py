@@ -105,6 +105,9 @@ def test_root_with_derivative():
 def test_root_tol_zero_bisects_to_ulp():
     r = find_root_monotone(lambda x: x * x - 2.0, 0.0, 2.0, tol=0.0)
     assert abs(r - math.sqrt(2.0)) <= 4 * np.finfo(float).eps * math.sqrt(2.0)
+    # The collapse test is relative, so a root far below 1 keeps its digits.
+    r = find_root_monotone(lambda x: x - 1e-20, 0.0, 1.0, tol=0.0)
+    assert abs(r - 1e-20) <= 1e-12 * 1e-20
 
 
 def test_root_requires_bracket():

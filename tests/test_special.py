@@ -102,10 +102,9 @@ def test_phi_endpoint_conventions():
 def test_invert_phi_endpoints_and_errors():
     assert invert_phi(0.0) == TWO_PI
     assert invert_phi(math.inf) == 0.0
-    with pytest.raises(ValueError):
-        invert_phi(-1.0)
-    with pytest.raises(ValueError):
-        invert_phi(math.nan)
+    for bad in (-1.0, math.nan, [1.0, -1.0], [0.0, math.nan, 2.0], [[1.0], [-0.5]]):
+        with pytest.raises(ValueError):
+            invert_phi(bad)
 
 
 def test_invert_phi_roundtrip():
@@ -114,6 +113,67 @@ def test_invert_phi_roundtrip():
         r = invert_phi(float(a))
         assert 0.0 < r <= TWO_PI
         assert abs(eval_phi(r) - a) <= 1e-10 * max(1.0, a)
+
+
+def _mp_invert_phi(a):
+    """Root of phi(r) = a by Newton in extended precision.  Near 2*pi the
+    unknown is s = 2*pi - r, with 1 - cos s = 2 sin(s/2)^2, so nothing
+    cancels; near 0, r - sin r cancels and the precision grows with -log r."""
+    log_a = mpmath.log(a)
+    if a < 8.0:
+        with mpmath.workdps(40):
+            s = mpmath.sqrt(mpmath.pi * a)
+            for _ in range(10):
+                h, d = 2 * mpmath.sin(s / 2) ** 2, 2 * mpmath.pi - s + mpmath.sin(s)
+                s -= (mpmath.log(4 * h / d) - log_a) / (mpmath.cot(s / 2) + h / d)
+            return 2 * mpmath.pi - s
+    with mpmath.workdps(40 + 2 * int(max(0.0, -math.log10(12.0 / a)))):
+        r = mpmath.mpf(12) / a
+        for _ in range(10):
+            h, d = 1 - mpmath.cos(r), r - mpmath.sin(r)
+            r -= (mpmath.log(4 * h / d) - log_a) / (mpmath.cot(r / 2) - h / d)
+        return r
+
+
+_LOG_UNIFORM_A = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=_LOG_UNIFORM_A)
+def test_invert_phi_inverts_phi_over_the_float_range(a):
+    r = invert_phi(a)
+    # r is the float nearest the root up to the kernels' rounding (the worst,
+    # ~40 ulps, just above the series switch of q1) ...
+    assert abs(r - float(_mp_invert_phi(a))) <= 2e-14 * r
+    # ... so phi(r) = a to 1e-13 wherever phi is well conditioned; near 2*pi
+    # the floats are 8.9e-16 apart and phi(r) can miss a by the condition
+    # number |d log phi / d log r| = 2 m3 / (q1 c2) times eps.
+    x = np.array([r])
+    cond = float((2.0 * special._m3(x) / (special._q1(x) * special._c2(x)))[0])
+    assert abs(eval_phi(r) - a) <= 1e-13 * max(1.0, cond) * a
+
+
+@settings(deadline=None)
+@given(a=_LOG_UNIFORM_A, b=_LOG_UNIFORM_A)
+def test_invert_phi_is_antitone(a, b):
+    lo, hi = min(a, b), max(a, b)
+    assert invert_phi(hi) <= invert_phi(lo)
+
+
+@settings(deadline=None)
+@given(a=st.lists(st.one_of(_LOG_UNIFORM_A, st.sampled_from([0.0, math.inf, 1e-300, 1e300])),
+                  max_size=30))
+def test_invert_phi_array_is_bit_equal_to_scalar_calls(a):
+    got = invert_phi(np.array(a, dtype=float))
+    assert got.shape == (len(a),)
+    np.testing.assert_array_equal(_bits(got), _bits([invert_phi(x) for x in a]))
+
+
+@pytest.mark.parametrize("a", [1e16, 3e16, 1e20, 1e300])
+def test_invert_phi_plane_asymptote(a):
+    # phi(r) = (12/r)(1 - r^2/30 + ...), so r = 12/a to rounding here; a
+    # root finder that stops on an absolute bracket width returns ~1e-16.
+    assert abs(a * invert_phi(a) / 12.0 - 1.0) <= 1e-14
 
 
 def test_mu_closed_forms_and_positivity():
@@ -214,6 +274,14 @@ def test_eval_weights_computes_each_kernel_once(monkeypatch):
         monkeypatch.setattr(special, name, counted(name))
     eval_weights(np.linspace(-TWO_PI, TWO_PI, 101), n=2)
     assert counts == {"_q1": 1, "_c2": 1, "_m3": 1}
+
+
+def test_eval_weights_does_not_alias_its_input():
+    x = np.linspace(-TWO_PI, TWO_PI, 11)
+    sv = eval_weights(x)
+    x[:] = 1.0
+    np.testing.assert_array_equal(sv.r, np.linspace(-TWO_PI, TWO_PI, 11))
+    np.testing.assert_array_equal(sv.psi_weight, sv.r)
 
 
 def test_garofalo_identity_naive_form_agrees_where_conditioned():
