@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from heisenberg_hardy import special
+from heisenberg_hardy import geometry, special
 from heisenberg_hardy.geometry import (
     Point,
     Polar,
@@ -317,7 +317,6 @@ def test_frame_orthonormal_at_chart_edges(c):
 
 
 def test_frame_and_jacobian_evaluate_each_kernel_once(monkeypatch):
-    import heisenberg_hardy.geometry as geometry
     counts = {}
 
     def counted(name):
