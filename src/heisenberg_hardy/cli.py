@@ -464,8 +464,6 @@ def _cmd_euclid(args):
 
 def _cmd_curves(args):
     grid = args.grid if args.grid is not None else 1024
-    if grid < 32:
-        raise ValueError("curves: grid must be at least 32")
     fn = special.v if args.fn == "v" else special.w
     rows = []
     for i in range(1, grid):
@@ -482,10 +480,11 @@ def _cmd_curves(args):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=int, default=None)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None)
+    # --grid only on the subcommands that read it; main rejects grid < 32
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument("--grid", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="hh",
@@ -525,10 +524,11 @@ def _build_parser():
     p.add_argument("--varpi", default="1,0")
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("check", parents=[common], help="run a structural check suite")
+    p = sub.add_parser("check", parents=[gridded], help="run a structural check suite")
     p.add_argument("what", choices=sorted(_CHECKS))
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("cone-bounds", parents=[common], help="bound report for a cone")
@@ -550,7 +550,7 @@ def _build_parser():
     p.add_argument("--steps", type=int, default=12)
     p.set_defaults(func=_cmd_sharpness)
 
-    p = sub.add_parser("sl", parents=[common], help="Sturm-Liouville perpendicular estimate")
+    p = sub.add_parser("sl", parents=[gridded], help="Sturm-Liouville perpendicular estimate")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--rho", type=float, default=0.5 * math.pi)
     p.add_argument("--weighted", action="store_true")
@@ -562,7 +562,7 @@ def _build_parser():
     p.add_argument("--gamma", type=float, required=True)
     p.set_defaults(func=_cmd_euclid)
 
-    p = sub.add_parser("curves", parents=[common], help="emit v or w curve data (CSV columns r,value)")
+    p = sub.add_parser("curves", parents=[gridded], help="emit v or w curve data (CSV columns r,value)")
     p.add_argument("--fn", choices=("v", "w"), required=True)
     p.set_defaults(func=_cmd_curves)
 
@@ -576,7 +576,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.grid is not None and args.grid < 32:
+        if getattr(args, "grid", None) is not None and args.grid < 32:
             raise ValueError("--grid must be at least 32")
         report = args.func(args)
         text = dumps_csv(report) if args.format == "csv" else dumps_report(report)

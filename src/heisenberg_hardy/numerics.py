@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dpttrf
 
 
 class QuadratureError(RuntimeError):
@@ -263,6 +261,8 @@ def _min_eig_bracket(d, e, bisect_tol):
     the first pivot <= 0, so a zero pivot moves ``hi``.  Stops once
     hi - lo <= bisect_tol * max(1, |lo|, |hi|).
     """
+    from scipy.linalg.lapack import dpttrf
+
     hi = float(np.min(d))
     hi += 1e-12 * max(1.0, abs(hi))
     lo = float(np.min(d - np.abs(np.concatenate(([0.0], e))) - np.abs(np.concatenate((e, [0.0])))))
@@ -292,12 +292,17 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     inverse iteration; the returned value is the Rayleigh quotient of the
     computed eigenvector, so it is an upper bound for the discrete minimum.
 
+    scipy is imported here and in ``_min_eig_bracket`` only, so importing
+    the package and every other routine loads numpy alone.
+
     Raises
     ------
     ValueError
         for grid_n < 32, a non-positive mass weight on the grid (singular
         mass matrix), or a non-positive stiffness weight.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     m = int(problem.grid_n)
     if m < 32:
         raise ValueError("sl_min_eig: grid_n must be at least 32")

@@ -69,11 +69,16 @@ def _join(out, scalar):
 
 
 def _series_or_closed(r, coef, closed):
-    """Even series ``coef`` where |r| < SERIES_SWITCH, ``closed(r)`` elsewhere."""
+    """Even series ``coef`` where |r| < SERIES_SWITCH, ``closed(r)`` elsewhere.
+
+    A branch with no elements is skipped: on the one-element arrays of the
+    polar chart and ``invert_phi`` it would cost as much as the other."""
     small = np.abs(r) < SERIES_SWITCH
     out = np.empty_like(r)
-    out[small] = _polyval_even(coef, r[small])
-    out[~small] = closed(r[~small])
+    if small.any():
+        out[small] = _polyval_even(coef, r[small])
+    if not small.all():
+        out[~small] = closed(r[~small])
     return out
 
 

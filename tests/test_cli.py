@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 import heisenberg_hardy.cli as cli
-from heisenberg_hardy.numerics import QuadratureError
+from heisenberg_hardy.numerics import QuadratureError, SLProblem, sl_min_eig
 
 SCHEMA = json.loads(
     resources.files("heisenberg_hardy").joinpath("schema/report.schema.json").read_text())
@@ -169,6 +169,44 @@ def test_removed_tol_and_max_evals_exit_2(capsys):
     for option in (["--tol", "1e-3"], ["--max-evals", "10"]):
         assert cli.main(["koranyi-bound", "--n", "1"] + option) == 2
         assert "usage:" in capsys.readouterr().err
+
+
+def test_grid_and_seed_only_where_read(capsys):
+    # --seed is read by the check suites, --grid by check, sl and curves
+    for argv in (["koranyi-bound", "--n", "1", "--seed", "5"],
+                 ["eval", "--fn", "phi", "--r", "1", "--grid", "64"]):
+        assert cli.main(argv) == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+_LAZY_SCIPY_CHILD = """
+import contextlib, io, json, math, sys
+import heisenberg_hardy
+from heisenberg_hardy import cli
+from heisenberg_hardy.numerics import SLProblem, sl_min_eig
+loaded = ["scipy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["eval", "--fn", "phi", "--r", "1"]) == 0
+loaded.append("scipy" in sys.modules)
+res = sl_min_eig(SLProblem(p=lambda x: x * x, q=lambda x: 1.0 + 0.0 * x, a=1.0, b=math.e,
+                           grid_n=256, right_bc="dirichlet"))
+loaded.append("scipy" in sys.modules)
+print(json.dumps({"loaded": loaded,
+                  "result": [x.hex() for x in (res.lambda_min,) + tuple(res.bracket)]}))
+"""
+
+
+def test_scipy_loads_only_for_sl_min_eig():
+    # one child for all three stages: scipy must not be in sys.modules
+    # before the first SL solve, and the solve must match this process's
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_CHILD],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["loaded"] == [False, False, True]
+    res = sl_min_eig(SLProblem(p=lambda x: x * x, q=lambda x: 1.0 + 0.0 * x, a=1.0, b=math.e,
+                               grid_n=256, right_bc="dirichlet"))
+    assert child["result"] == [x.hex() for x in (res.lambda_min,) + tuple(res.bracket)]
 
 
 def test_numerical_failure_exit_3(monkeypatch, capsys):

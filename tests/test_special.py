@@ -313,6 +313,29 @@ def test_series_switch_is_seamless():
         assert abs(above - ref_a) < 1e-13 * ref_a
 
 
+def _series_or_closed_unguarded(r, coef, closed):
+    small = np.abs(r) < special.SERIES_SWITCH
+    out = np.empty_like(r)
+    out[small] = special._polyval_even(coef, r[small])
+    out[~small] = closed(r[~small])
+    return out
+
+
+_SERIES_R = np.array([0.0, -0.0, 1e-300, -1e-8, 0.1, -0.2499999])
+_CLOSED_R = np.array([0.25, -0.2500001, 1.0, -3.0, 5.5, TWO_PI, -TWO_PI])
+
+
+@pytest.mark.parametrize("r", [_SERIES_R, _CLOSED_R, np.concatenate((_CLOSED_R, _SERIES_R)),
+                               _SERIES_R[4:5], _CLOSED_R[2:3]],
+                         ids=["series", "closed", "mixed", "series-1", "closed-1"])
+def test_skipping_an_empty_branch_is_bit_identical(r, monkeypatch):
+    kernels = (special._q1, special._m3, special._k3)
+    got = [kernel(r) for kernel in kernels]
+    monkeypatch.setattr(special, "_series_or_closed", _series_or_closed_unguarded)
+    for kernel, value in zip(kernels, got):
+        np.testing.assert_array_equal(_bits(value), _bits(kernel(r)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_check_identities_passes(n):
     rep = check_identities(n=n, grid_size=4000)
