@@ -381,19 +381,6 @@ def _cmd_check_annulus(args):
     return _checks_report("check annulus", {"n": n, "R1": 1.0, "R2": 2.0}, entries)
 
 
-_CHECKS = {
-    "frame": _cmd_check_frame,
-    "jacobian": _cmd_check_jacobian,
-    "identities": _cmd_check_identities,
-    "divergence": _cmd_check_divergence,
-    "annulus": _cmd_check_annulus,
-}
-
-
-def _cmd_check(args):
-    return _CHECKS[args.what](args)
-
-
 def _cmd_cone_bounds(args):
     cone = hardy.ConeSpec.from_alpha(args.n, args.alpha)
     rep = hardy.cone_bounds(cone)
@@ -524,12 +511,22 @@ def _build_parser():
     p.add_argument("--varpi", default="1,0")
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("check", parents=[gridded], help="run a structural check suite")
-    p.add_argument("what", choices=sorted(_CHECKS))
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_check)
+    # each check suite takes only the options it reads
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0)
+    sampled = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    sampled.add_argument("--samples", type=int, default=200)
+    p = sub.add_parser("check", help="run a structural check suite")
+    suites = p.add_subparsers(dest="what", required=True)
+    for what, parent, func, text in (
+            ("annulus", common, _cmd_check_annulus, "annulus integration identity"),
+            ("divergence", seeded, _cmd_check_divergence, "rotation field is divergence free"),
+            ("frame", sampled, _cmd_check_frame, "orthonormal horizontal frame"),
+            ("identities", gridded, _cmd_check_identities, "kernel identities on a grid"),
+            ("jacobian", sampled, _cmd_check_jacobian, "Jacobian determinant t^(2n+1) mu")):
+        q = suites.add_parser(what, parents=[parent], help=text)
+        q.add_argument("--n", type=int, default=1)
+        q.set_defaults(func=func)
 
     p = sub.add_parser("cone-bounds", parents=[common], help="bound report for a cone")
     p.add_argument("--n", type=int, required=True)

@@ -518,18 +518,12 @@ def sl_perp_estimate(cone, grid_n=1024, weighted=True):
         raise ValueError("sl_perp_estimate: unweighted case needs rho > 0 "
                          "(Dirichlet node exists)")
 
-    if weighted:
-        def p(r):
-            return special.rw(r) ** 2 / r * special.mu(r, n)
+    # rw = c2/(2 m3) and mu = m3 c2^(n-1): one c2 and one m3 per grid
+    def p(r):
+        return special._c2(r) ** (n + 1) / (4.0 * (r if weighted else 1.0) * special._m3(r))
 
-        def q(r):
-            return r * special.mu(r, n)
-    else:
-        def p(r):
-            return special.rw(r) ** 2 * special.mu(r, n)
-
-        def q(r):
-            return special.mu(r, n)
+    def q(r):
+        return (r if weighted else 1.0) * special._m3(r) * special._c2(r) ** (n - 1)
 
     problem = SLProblem(p=p, q=q, a=rho, b=TWO_PI, grid_n=int(grid_n),
                         right_bc="natural")

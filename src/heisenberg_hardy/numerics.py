@@ -169,16 +169,14 @@ def integrate(f, a, b, tol=1e-10, max_evals=1_000_000, singularity=None):
 # Root finding
 # ----------------------------------------------------------------------
 
-def find_root_monotone(f, lo, hi, tol=1e-12, df=None, coarse=1e-4, max_iter=300):
+def find_root_monotone(f, lo, hi, tol=1e-12, max_iter=300):
     """Find the root of a monotone function bracketed by [lo, hi].
 
-    Bisects until the bracket has width ``coarse``, then switches to a
-    Newton iteration safeguarded by the bracket when a derivative ``df``
-    is supplied (pure bisection otherwise).  Iterates until
-    |f(x)| <= tol * scale with scale = max(1, |f(lo)|, |f(hi)|), or until
-    the bracket is within 4 eps of its end points (a relative test, floored
-    at the smallest normal float) -- so ``tol=0`` polishes the root to
-    ~1 ulp, given ``max_iter`` halvings enough to reach its scale.
+    Bisects until |f(x)| <= tol * scale with scale = max(1, |f(lo)|,
+    |f(hi)|), or until the bracket is within 4 eps of its end points (a
+    relative test, floored at the smallest normal float) -- so ``tol=0``
+    polishes the root to ~1 ulp, given ``max_iter`` halvings enough to
+    reach its scale.
 
     Raises
     ------
@@ -211,14 +209,7 @@ def find_root_monotone(f, lo, hi, tol=1e-12, df=None, coarse=1e-4, max_iter=300)
             hi = x
         if hi - lo <= 4.0 * np.finfo(float).eps * max(np.finfo(float).tiny, abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
-        step = None
-        if df is not None and hi - lo <= coarse:
-            dfx = float(df(x))
-            if dfx != 0.0 and math.isfinite(dfx):
-                cand = x - fx / dfx
-                if lo < cand < hi:
-                    step = cand
-        x = step if step is not None else 0.5 * (lo + hi)
+        x = 0.5 * (lo + hi)
     return x
 
 
@@ -251,29 +242,42 @@ class EigResult:
     bracket: tuple
 
 
-def _min_eig_bracket(d, e, bisect_tol):
-    """Bracket (lo, hi) of the smallest eigenvalue of the symmetric
-    tridiagonal with diagonal ``d`` and off-diagonal ``e``.
+# Relative width to which sl_min_eig bisects before inverse iteration, well
+# inside the spectral gap (lambda_2/lambda_1 is 1.036 for n = 3, grid 16384).
+_COARSE_TOL = 1e-3
 
-    Barth, Martin & Wilkinson's Sturm bisection, asking only whether any
-    eigenvalue lies at or below lambda, i.e. whether T - lambda I is not
-    positive definite: LAPACK ``dpttrf`` factors it as L D L^T and stops at
-    the first pivot <= 0, so a zero pivot moves ``hi``.  Stops once
-    hi - lo <= bisect_tol * max(1, |lo|, |hi|).
+
+def _bisect(d, e, tol, lo=None, hi=None, factors=None):
+    """Bisection for the smallest eigenvalue of the symmetric tridiagonal T
+    with diagonal ``d`` and off-diagonal ``e``: Barth, Martin & Wilkinson's
+    Sturm bisection, asking only whether T - lambda I is not positive
+    definite.  LAPACK ``dpttrf`` factors it as L D L^T and stops at the
+    first pivot <= 0, so a zero pivot moves ``hi``.  Starts from (lo, hi),
+    by default the Gershgorin bound (at most 0) and min(d); stops once
+    hi - lo <= tol * max(1, |lo|, |hi|).  Returns (lo, hi, factors), the
+    ``dpttrf`` factors of T - lo I following ``lo`` to each definite midpoint.
     """
     from scipy.linalg.lapack import dpttrf
 
-    hi = float(np.min(d))
-    hi += 1e-12 * max(1.0, abs(hi))
-    lo = float(np.min(d - np.abs(np.concatenate(([0.0], e))) - np.abs(np.concatenate((e, [0.0])))))
-    lo = min(lo, 0.0)
-    while hi - lo > bisect_tol * max(1.0, abs(lo), abs(hi)):
+    if hi is None:
+        hi = float(np.min(d))
+        hi += 1e-12 * max(1.0, abs(hi))
+    if lo is None:
+        lo = float(np.min(d - np.abs(np.concatenate(([0.0], e))) - np.abs(np.concatenate((e, [0.0])))))
+        lo = min(lo, 0.0)
+    while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
-        if dpttrf(d - mid, e)[2] != 0:
+        df, ef, info = dpttrf(d - mid, e)
+        if info != 0:
             hi = mid
         else:
-            lo = mid
-    return lo, hi
+            lo, factors = mid, (df, ef)
+    return lo, hi, factors
+
+
+def _min_eig_bracket(d, e, bisect_tol):
+    """Plain ``_bisect`` from its default bracket; returns (lo, hi)."""
+    return _bisect(d, e, bisect_tol)[:2]
 
 
 def sl_min_eig(problem, bisect_tol=1e-10):
@@ -285,23 +289,27 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     endpoint is handled without one-sided differences.
 
     With S = diag(q^(-1/2)) the problem becomes a symmetric tridiagonal T.
-    Its smallest eigenvalue is bracketed by bisection on the definiteness
-    of T - lambda I, tested by a compiled LDL^T factorization (LAPACK
-    ``dpttrf``); ``bracket`` is the final (lo, hi), of width at most
-    ``bisect_tol * max(1, |lo|, |hi|)``.  The value is then polished by
-    inverse iteration; the returned value is the Rayleigh quotient of the
-    computed eigenvector, so it is an upper bound for the discrete minimum.
-
-    scipy is imported here and in ``_min_eig_bracket`` only, so importing
-    the package and every other routine loads numpy alone.
+    One loop bisects on the definiteness of T - lambda I (``_bisect``) to
+    relative width 1e-3, then runs inverse iteration (LAPACK ``dpttrs``) on
+    the ``dpttrf`` factors of T - lo I at the last definite shift ``lo``
+    until the Rayleigh quotient lam changes by <= 1e-14 relative or by no
+    less than before.  Two factorizations confirm lo' < lambda_1 <= hi' at
+    lo', hi' = lam -+ 0.45 bisect_tol max(1, |lam|); if either disagrees,
+    the loop bisects on to ``bisect_tol``, iterates again and keeps that
+    bracket.  ``bracket`` is thus verified, holds ``lambda_min`` (the
+    Rayleigh quotient of the returned eigenvector), and is at most
+    ``bisect_tol * max(1, |lo|, |hi|)`` wide.  scipy is imported here and
+    in ``_bisect`` only, so every other routine loads numpy alone.
 
     Raises
     ------
     ValueError
         for grid_n < 32, a non-positive mass weight on the grid (singular
         mass matrix), or a non-positive stiffness weight.
+    numpy.linalg.LinAlgError
+        if T is not numerically positive definite.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
     m = int(problem.grid_n)
     if m < 32:
@@ -312,10 +320,8 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     if problem.right_bc not in ("natural", "dirichlet"):
         raise ValueError("sl_min_eig: right_bc must be 'natural' or 'dirichlet'")
 
-    if problem.right_bc == "natural":
-        dx = (b - a) / (m + 0.5)
-    else:
-        dx = (b - a) / (m + 1.0)
+    natural = problem.right_bc == "natural"
+    dx = (b - a) / (m + (0.5 if natural else 1.0))
     x = a + dx * np.arange(1, m + 1)
     xm = x - 0.5 * dx                      # interior flux points p_{i-1/2}
     pm = np.asarray(problem.p(xm), dtype=float)
@@ -330,14 +336,10 @@ def sl_min_eig(problem, bisect_tol=1e-10):
         raise ValueError("sl_min_eig: stiffness weight p must be positive on the grid")
 
     inv_dx2 = 1.0 / (dx * dx)
-    diag = np.empty(m)
-    if problem.right_bc == "natural":
-        diag[:-1] = (pm[:-1] + pm[1:]) * inv_dx2
-        diag[-1] = pm[-1] * inv_dx2       # free end: no flux beyond x_m
-    else:
+    p_last = 0.0                          # the free end carries no flux beyond x_m
+    if not natural:
         p_last = float(np.asarray(problem.p(np.array([b - 0.5 * dx])), dtype=float)[0])
-        diag[:-1] = (pm[:-1] + pm[1:]) * inv_dx2
-        diag[-1] = (pm[-1] + p_last) * inv_dx2
+    diag = np.append(pm[:-1] + pm[1:], pm[-1] + p_last) * inv_dx2
     off = -pm[1:] * inv_dx2
 
     # Reduce K u = lambda M u to standard form with S = diag(1/sqrt(q)).
@@ -345,40 +347,38 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     d = diag * s * s
     e = off * s[:-1] * s[1:]
 
-    lo, hi = _min_eig_bracket(d, e, bisect_tol)
-
-    # Inverse iteration from a shift just below the bisection bracket.
+    # K is positive definite (p > 0, Dirichlet at a), so 0 bounds lambda_1
+    # from below; T's Gershgorin bound reaches -2e5 for small a.
     y = np.full(m, 1.0 / math.sqrt(m))
-    lam = hi
-    shift_gap = 1e-8 * max(1.0, abs(lo))
-    for attempt in range(4):
-        sigma = lo - shift_gap
-        ab = np.zeros((2, m))
-        ab[0, 1:] = e
-        ab[1, :] = d - sigma
-        try:
-            cb = cholesky_banded(ab)
-        except np.linalg.LinAlgError:
-            shift_gap *= 100.0
-            continue
-        prev = None
-        for _ in range(60):
-            y = cho_solve_banded((cb, False), y)
-            y /= np.linalg.norm(y)
-            ty = d * y
-            ty[:-1] += e * y[1:]
-            ty[1:] += e * y[:-1]
-            lam = float(y @ ty)
-            if prev is not None and abs(lam - prev) <= 1e-14 * max(1.0, abs(lam)):
+    lo, hi, factors = 0.0, None, None
+    tol = max(_COARSE_TOL, bisect_tol)
+    while True:
+        lo, hi, factors = _bisect(d, e, tol, lo, hi, factors)
+        if factors is None:               # no midpoint was definite: lo is 0
+            *factors, info = dpttrf(d, e)
+            if info != 0:
+                raise np.linalg.LinAlgError("sl_min_eig: T is not numerically positive definite")
+        # v = (T - lo I)^(-1) y has the Rayleigh quotient lo + v.y / v.v
+        lam, step = lo, math.inf
+        while True:
+            v = dpttrs(*factors, y)[0]
+            new = lo + float(v @ y) / float(v @ v)
+            y = v / np.linalg.norm(v)
+            change, lam = abs(new - lam), new
+            if change <= 1e-14 * max(1.0, abs(lam)) or change >= step:
                 break
-            prev = lam
-        break
-    else:
-        lam = 0.5 * (lo + hi)
+            step = change
+        if tol == bisect_tol:             # keep lam in the bisection bracket
+            lam = min(max(lam, lo), hi)
+            break
+        half = 0.45 * bisect_tol * max(1.0, abs(lam))
+        if dpttrf(d - (lam - half), e)[2] == 0 and dpttrf(d - (lam + half), e)[2] != 0:
+            lo, hi = lam - half, lam + half
+            break
+        tol = bisect_tol
 
     u = y * s
-    i = int(np.argmax(np.abs(u)))
-    u = u / u[i]
+    u = u / u[np.argmax(np.abs(u))]
     return EigResult(lambda_min=lam, grid=x, eigvec=u, bracket=(lo, hi))
 
 

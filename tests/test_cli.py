@@ -172,11 +172,21 @@ def test_removed_tol_and_max_evals_exit_2(capsys):
 
 
 def test_grid_and_seed_only_where_read(capsys):
-    # --seed is read by the check suites, --grid by check, sl and curves
+    # --grid is read by sl, curves and check identities, --seed by check
+    # frame, jacobian and divergence, --samples by check frame and jacobian
     for argv in (["koranyi-bound", "--n", "1", "--seed", "5"],
-                 ["eval", "--fn", "phi", "--r", "1", "--grid", "64"]):
+                 ["eval", "--fn", "phi", "--r", "1", "--grid", "64"],
+                 ["check", "frame", "--grid", "64"],
+                 ["check", "identities", "--seed", "9"],
+                 ["check", "identities", "--samples", "7"],
+                 ["check", "divergence", "--samples", "7"],
+                 ["check", "annulus", "--seed", "9"],
+                 ["check", "annulus", "--grid", "64"],
+                 ["check", "--n", "1", "annulus"]):
         assert cli.main(argv) == 2
         assert "usage:" in capsys.readouterr().err
+    assert cli.main(["check", "identities", "--n", "1", "--grid", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["grid_size"] == 64
 
 
 _LAZY_SCIPY_CHILD = """

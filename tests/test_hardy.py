@@ -295,6 +295,27 @@ def test_sl_unweighted_bounds():
         assert n * n * rho ** 2 / 4.0 - 1e-6 <= lam <= math.pi ** 2 * n * n + 1e-6
 
 
+def test_sl_perp_estimate_evaluates_each_kernel_once(monkeypatch):
+    counts = {}
+
+    def counted(name):
+        kernel = getattr(special, name)
+
+        def wrapper(r):
+            counts[name] = counts.get(name, 0) + 1
+            return kernel(r)
+        return wrapper
+
+    cone = ConeSpec.from_rho(2, 1.0)
+    for name in ("_q1", "_c2", "_m3"):
+        monkeypatch.setattr(special, name, counted(name))
+    for weighted in (True, False):
+        counts.clear()
+        sl_perp_estimate(cone, grid_n=64, weighted=weighted)
+        # once on the flux points (p) and once on the nodes (q)
+        assert counts == {"_c2": 2, "_m3": 2}
+
+
 def test_sl_validation():
     cone = ConeSpec.from_rho(1, 0.0)
     with pytest.raises(ValueError):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.linalg.lapack import dpttrf
 
 from heisenberg_hardy.numerics import (
@@ -98,11 +101,6 @@ def test_root_simple():
     assert abs(find_root_monotone(lambda x: x ** 3 - 8.0, 0.0, 3.0) - 2.0) < 1e-12
 
 
-def test_root_with_derivative():
-    r = find_root_monotone(math.cos, 0.0, 2.0, df=lambda x: -math.sin(x))
-    assert abs(r - math.pi / 2) < 1e-12
-
-
 def test_root_tol_zero_bisects_to_ulp():
     r = find_root_monotone(lambda x: x * x - 2.0, 0.0, 2.0, tol=0.0)
     assert abs(r - math.sqrt(2.0)) <= 4 * np.finfo(float).eps * math.sqrt(2.0)
@@ -188,10 +186,12 @@ def _dense_min_eig(problem):
     return float(np.linalg.eigvalsh(s[:, None] * k * s[None, :])[0])
 
 
-def _perp_problem(n, rho, grid_n):
-    # the weighted perpendicular problem of hardy.sl_perp_estimate
-    return SLProblem(p=lambda r: special.rw(r) ** 2 / r * special.mu(r, n),
-                     q=lambda r: r * special.mu(r, n), a=rho, b=TWO_PI,
+def _perp_problem(n, rho, grid_n, weighted=True):
+    # the perpendicular problem of hardy.sl_perp_estimate, in rw and mu
+    def weight(r):
+        return r if weighted else 1.0
+    return SLProblem(p=lambda r: special.rw(r) ** 2 / weight(r) * special.mu(r, n),
+                     q=lambda r: weight(r) * special.mu(r, n), a=rho, b=TWO_PI,
                      grid_n=grid_n, right_bc="natural")
 
 
@@ -212,6 +212,72 @@ def test_sl_matches_dense_reference(case):
     slack = 1e-13 * abs(ref)
     assert lo - slack <= ref <= hi + slack
     assert hi - lo <= bisect_tol * max(1.0, abs(lo), abs(hi))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 3), log_alpha=st.floats(math.log(1e-2), math.log(1e2)),
+       weighted=st.booleans())
+def test_sl_bracket_holds_dense_reference(n, log_alpha, weighted):
+    # The bracket comes from two definiteness probes around the Rayleigh
+    # quotient; it must hold the dense eigenvalue and lambda_min.
+    bisect_tol = 1e-10
+    problem = _perp_problem(n, hardy.ConeSpec.from_alpha(n, math.exp(log_alpha)).rho, 256,
+                            weighted)
+    res = sl_min_eig(problem, bisect_tol=bisect_tol)
+    ref = _dense_min_eig(problem)
+    lo, hi = res.bracket
+    slack = 1e-13 * abs(ref)
+    assert lo - slack <= ref <= hi + slack
+    assert lo - slack <= res.lambda_min <= hi + slack
+    assert hi - lo <= bisect_tol * max(1.0, abs(lo), abs(hi))
+
+
+@pytest.mark.parametrize("n, alpha, grid", [(1, 4.0, 4096), (1, 50.0, 16384)])
+def test_sl_work_count(monkeypatch, n, alpha, grid):
+    # Factorizations plus solves for one SL solve: a coarse bisection,
+    # inverse iteration on its last factors and two probes take 15-16 here,
+    # where plain bisection to 1e-10 alone needs 34-47 factorizations.
+    calls = []
+    for name in ("dpttrf", "dpttrs"):
+        def counted(*args, _name=name, _f=getattr(lapack, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(lapack, name, counted)
+    res = hardy.sl_perp_estimate(hardy.ConeSpec.from_alpha(n, alpha), grid_n=grid)
+    assert len(calls) <= 25, calls
+    lo, hi = res.bracket
+    assert lo <= res.lambda_min <= hi
+
+
+def test_sl_probe_disagreement_bisects_on(monkeypatch):
+    # Make the first probe after inverse iteration report "not definite":
+    # the solver must bisect on to bisect_tol and keep that bracket.
+    solves = []
+    lied = []
+
+    def dpttrs(*args, _f=lapack.dpttrs):
+        solves.append(1)
+        return _f(*args)
+
+    def dpttrf(d, e, _f=lapack.dpttrf):
+        out = _f(d, e)
+        if solves and not lied:
+            lied.append(len(solves))
+            return out[0], out[1], 1
+        return out
+
+    monkeypatch.setattr(lapack, "dpttrs", dpttrs)
+    monkeypatch.setattr(lapack, "dpttrf", dpttrf)
+    problem = SLProblem(p=lambda x: x * x, q=_const, a=1.0, b=math.e,
+                        grid_n=256, right_bc="dirichlet")
+    res = sl_min_eig(problem, bisect_tol=1e-10)
+    assert lied and len(solves) > lied[0]
+    ref = _dense_min_eig(problem)
+    lo, hi = res.bracket
+    slack = 1e-13 * abs(ref)
+    assert lo - slack <= ref <= hi + slack and lo <= res.lambda_min <= hi
+    assert hi - lo <= 1e-10 * max(1.0, abs(lo), abs(hi))
+    assert abs(res.lambda_min - ref) <= 1e-10 * abs(ref)
 
 
 def test_sl_bracket_zero_pivot_moves_hi():
