@@ -467,5 +467,5 @@ def geodesic_curve_length(varpi, p_z, s, fd_step=1e-6):
             out[i] = np.linalg.norm(gp.xi - gm.xi) / (h + min(ss, h))
         return out
 
-    res = integrate(speed, 0.0, s, tol=1e-9)
+    res = integrate(speed, 0.0, s, rtol=1e-9)
     return res.value

@@ -150,7 +150,7 @@ class SeparableFn:
 _VARIANTS = ("full", "radial", "perp", "perp_weighted", "garofalo")
 
 
-def separable_quotient(u, cone, variant="full", tol=1e-10):
+def separable_quotient(u, cone, variant="full", rtol=1e-10):
     """Rayleigh quotient of a separable function on a cone.
 
     Numerators (measure t^(2n+1) mu(r) dt dr, sphere factor cancelled):
@@ -164,7 +164,10 @@ def separable_quotient(u, cone, variant="full", tol=1e-10):
     Denominators: int u^2 / delta^2, except perp_weighted (int u^2 psi /
     delta^2) and garofalo (int u^2 |grad N|^2 / N^2, i.e. the eta weight).
 
-    ``u.h`` (including the cutoff) must be supported in {r > rho}.
+    Two ``integrate`` calls, each to relative tolerance ``rtol``: the three
+    t-integrals, and the four r-integrals of the full numerator plus the
+    variant's own (so full, radial and perp share their r-integrals bit for
+    bit).  ``u.h`` (including the cutoff) must be supported in {r > rho}.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"separable_quotient: unknown variant {variant!r}")
@@ -183,31 +186,33 @@ def separable_quotient(u, cone, variant="full", tol=1e-10):
     if not r1 > r0:
         raise ValueError("separable_quotient: h support does not meet the cone")
 
-    def q(f, a, b, **kw):
-        return integrate(f, a, b, tol=tol, **kw).value
+    def t_parts(t):
+        gv, gp = g.fn(t), g.dfn(t)
+        return np.stack([gp * gp * t ** (2 * n + 1), gv * gp * t ** (2 * n),
+                         gv * gv * t ** (2 * n - 1)])
 
-    two_n = 2 * n
-    i_gp2 = q(lambda t: g.dfn(t) ** 2 * t ** (two_n + 1), t0, t1)
-    i_ggp = q(lambda t: g.fn(t) * g.dfn(t) * t ** two_n, t0, t1)
-    i_g2 = q(lambda t: g.fn(t) ** 2 * t ** (two_n - 1), t0, t1)
+    def r_parts(r):
+        hv, hp = h.fn(r), h.dfn(r)
+        c2, m3 = special._c2(r), special._m3(r)
+        muv = m3 * c2 ** (n - 1)
+        rwv = c2 / (2.0 * m3)
+        parts = [hv * hv * muv, r * hv * hp * muv, (r * hp) ** 2 * muv, (rwv * hp) ** 2 * muv]
+        if variant == "perp_weighted":
+            parts += [rwv ** 2 / r * hp ** 2 * muv, r * hv * hv * muv]
+        elif variant == "garofalo":
+            parts.append(hv * hv * c2 / (4.0 * (special._q1(r) + m3)) * muv)
+        return np.stack(parts)
 
-    def mu_r(r):
-        return special.mu(r, n)
-
-    j_h2 = q(lambda r: h.fn(r) ** 2 * mu_r(r), r0, r1)
-    j_rhhp = q(lambda r: r * h.fn(r) * h.dfn(r) * mu_r(r), r0, r1)
-    j_r2hp2 = q(lambda r: (r * h.dfn(r)) ** 2 * mu_r(r), r0, r1)
-    j_perp = q(lambda r: (special.rw(r) * h.dfn(r)) ** 2 * mu_r(r), r0, r1)
+    i_gp2, i_ggp, i_g2 = integrate(t_parts, t0, t1, rtol).value
+    j_h2, j_rhhp, j_r2hp2, j_perp, *extra = integrate(r_parts, r0, r1, rtol).value
 
     radial_num = i_gp2 * j_h2 + 2.0 * i_ggp * j_rhhp + i_g2 * j_r2hp2
     perp_num = i_g2 * j_perp
 
     if variant == "perp_weighted":
-        num = i_g2 * q(lambda r: special.rw(r) ** 2 / r * h.dfn(r) ** 2 * mu_r(r), r0, r1)
-        den = i_g2 * q(lambda r: r * h.fn(r) ** 2 * mu_r(r), r0, r1)
+        num, den = i_g2 * extra[0], i_g2 * extra[1]
     elif variant == "garofalo":
-        num = radial_num + perp_num
-        den = i_g2 * q(lambda r: h.fn(r) ** 2 * special.eta(r) * mu_r(r), r0, r1)
+        num, den = radial_num + perp_num, i_g2 * extra[0]
     else:
         num = {"full": radial_num + perp_num,
                "radial": radial_num,
@@ -224,44 +229,39 @@ def radial_sequence_quotient(k):
 
     u(Phi) = (r/t)^n h_k(t) with h_k(t) = clamp(log(t k)/log k, 0, 1) *
     clamp(log(k/t)/log k, 0, 1) reduces (exactly, all r-integrals cancel)
-    to the planar Hardy quotient int h_k'^2 t dt / int h_k^2 t^-1 dt, which
-    this evaluates by quadrature on the two smooth pieces.
+    to the planar Hardy quotient int h_k'^2 t dt / int h_k^2 t^-1 dt.  In
+    s = log t (dt/t = ds) that is int ds / log^2 k over int (1 - |s|/log k)^2
+    ds on (-log k, log k), which one ``integrate`` call takes on two panels.
     """
     k = float(k)
     if k < 2.0:
         raise ValueError("radial_sequence_quotient: k must be >= 2")
     lnk = math.log(k)
 
-    def h(t):
-        t = np.asarray(t, dtype=float)
-        return np.clip(np.log(t * k) / lnk, 0.0, 1.0) * np.clip(np.log(k / t) / lnk, 0.0, 1.0)
+    def parts(s):
+        return np.stack([np.full_like(s, 1.0 / (lnk * lnk)), (1.0 - np.abs(s) / lnk) ** 2])
 
-    num = (integrate(lambda t: 1.0 / (t * lnk * lnk), 1.0 / k, 1.0).value
-           + integrate(lambda t: 1.0 / (t * lnk * lnk), 1.0, k).value)
-    den = (integrate(lambda t: h(t) ** 2 / t, 1.0 / k, 1.0).value
-           + integrate(lambda t: h(t) ** 2 / t, 1.0, k).value)
+    num, den = integrate(parts, -lnk, lnk).value
     return num / den
 
 
-def koranyi_upper_bound(n, tol=1e-12):
+def koranyi_upper_bound(n, rtol=1e-12):
     """Upper bound for the Hardy constant from the Koranyi-gauge ansatz.
 
     Returns n^2 * int_0^2pi gamma^(-2n) eta mu dr / int_0^2pi gamma^(-2n)
-    mu dr (the +-r integrands coincide, so only (0, 2*pi) is integrated).
-    Strictly below n^2 because eta < 1 away from r = 0.
+    mu dr (the +-r integrands coincide, so only (0, 2*pi) is integrated),
+    both integrals in one ``integrate`` call.  Strictly below n^2 because
+    eta < 1 away from r = 0.
     """
     if n < 1 or n != int(n):
         raise ValueError("koranyi_upper_bound: n must be a positive integer")
     n = int(n)
 
-    def num(r):
-        return special.gamma(r) ** (-2 * n) * special.eta(r) * special.mu(r, n)
+    def parts(r):
+        den = special.gamma(r) ** (-2 * n) * special.mu(r, n)
+        return np.stack([den * special.eta(r), den])
 
-    def den(r):
-        return special.gamma(r) ** (-2 * n) * special.mu(r, n)
-
-    top = integrate(num, 0.0, TWO_PI, tol=tol).value
-    bot = integrate(den, 0.0, TWO_PI, tol=tol).value
+    top, bot = integrate(parts, 0.0, TWO_PI, rtol).value
     return n * n * top / bot
 
 
@@ -270,8 +270,9 @@ def default_gamma_schedule(count=12):
     return [-0.5 + 2.0 ** (-k) for k in range(1, count + 1)]
 
 
-def _sweep_tail_integral(n, gam, b1, tol):
-    """int_b1^2pi (r w mu)^(2 gamma) r mu dr, stable down to gamma -> -1/2.
+def _sweep_tail_integral(n, gammas, b1, rtol):
+    """int_b1^2pi (r w mu)^(2 gamma) r mu dr for each gamma, stable down to
+    gamma -> -1/2.
 
     With delta = 2*pi - r the integrand is delta^beta P(delta)^(2 gamma)
     Q(delta) with beta = 2n(2 gamma + 1) - 1 and the bounded factors
@@ -280,34 +281,32 @@ def _sweep_tail_integral(n, gam, b1, tol):
         Q = r mu / delta^(2n-1)      = (c2(delta) delta + r sinc(delta/pi))
                                         / r^3 * (c2(delta)/r^2)^(n-1),
 
-    so after the exact substitution u = delta^(beta+1) the transformed
-    integrand is P^(2 gamma) Q / (beta + 1): bounded and smooth, which a
-    direct power substitution of the full integrand is not (the raw
-    (r w mu)^(2 gamma) under/overflows once delta^(2n) leaves double
-    range).
-
-    The integral itself grows like 1/(beta + 1), so the absolute
-    quadrature tolerance is scaled by a single-panel magnitude estimate
-    (the quotient using this tail is insensitive to its relative error).
+    bounded and smooth where the raw (r w mu)^(2 gamma) under- or
+    overflows.  Under delta = span v^p, with e = beta + 1 and the integer
+    p = ceil(3/e), the tail is span^e int_0^1 p v^(p e - 1) P^(2 gamma) Q dv:
+    every gamma on v in [0, 1], so one ``integrate`` call takes all tails,
+    and the integrand is C^2 at v = 0 (P, Q are smooth in span v^p and the
+    power of v is at least 2; delta = span v^(1/e) would put an unbounded
+    derivative there and double the rounds).
     """
+    gam = np.asarray(gammas, dtype=float)[:, None]
     e = 2 * n * (2.0 * gam + 1.0)
+    p = np.ceil(3.0 / e)
     span = TWO_PI - b1
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        delta = u ** (1.0 / e)
+    def g(v):
+        delta = span * v ** p
         r = TWO_PI - delta
         c2d = special._c2(delta)
         ratio = c2d / r ** 2
-        p = 0.5 * ratio ** n
-        q = (c2d * delta + r * np.sinc(delta / math.pi)) / r ** 3 * ratio ** (n - 1)
-        return p ** (2.0 * gam) * q / e
+        pf = 0.5 * ratio ** n
+        qf = (c2d * delta + r * np.sinc(delta / math.pi)) / r ** 3 * ratio ** (n - 1)
+        return pf ** (2.0 * gam) * qf * p * v ** (p * e - 1.0)
 
-    coarse = integrate(g, 0.0, span ** e, tol=math.inf).value
-    return integrate(g, 0.0, span ** e, tol=tol * max(1.0, abs(coarse))).value
+    return span ** e[:, 0] * integrate(g, 0.0, 1.0, rtol).value
 
 
-def sharpness_sweep(cone, gammas=None, width_factor=0.1, tol=1e-10):
+def sharpness_sweep(cone, gammas=None, width_factor=0.1, rtol=1e-10):
     """Weighted perpendicular quotient R(gamma) of the sharpness family.
 
     For each gamma in (-1/2, 0] evaluates, with chi a C^1 smoothstep on
@@ -318,8 +317,10 @@ def sharpness_sweep(cone, gammas=None, width_factor=0.1, tol=1e-10):
 
     splitting off the plateau part (chi = 1) where the integrand has the
     local power 2n(2 gamma + 1) - 1 at 2*pi, integrated with the matching
-    singularity substitution.  R(gamma) >= n^2/4 with equality approached
-    as gamma -> -1/2.
+    substitution (``_sweep_tail_integral``).  Two ``integrate`` calls take
+    the band integrals and the tails of all gammas, each to relative
+    tolerance ``rtol``.  R(gamma) >= n^2/4 with equality approached as
+    gamma -> -1/2.
 
     Returns a list of (gamma, R) pairs in input order.
     """
@@ -331,13 +332,8 @@ def sharpness_sweep(cone, gammas=None, width_factor=0.1, tol=1e-10):
         raise ValueError("sharpness_sweep: width_factor must be in (0, 1)")
     if gammas is None:
         gammas = default_gamma_schedule()
-    width = width_factor * (TWO_PI - rho)
-    b1 = rho + width
-    chi = smoothstep_profile(rho, width)
-
-    out = []
+    gammas = [float(gam) for gam in gammas]
     for gam in gammas:
-        gam = float(gam)
         beta = 2 * n * (2.0 * gam + 1.0) - 1.0
         if gam <= -0.5:
             raise ValueError(
@@ -345,22 +341,23 @@ def sharpness_sweep(cone, gammas=None, width_factor=0.1, tol=1e-10):
                 "(not integrable)")
         if gam > 0.0:
             raise ValueError("sharpness_sweep: gamma must lie in (-1/2, 0]")
+    width = width_factor * (TWO_PI - rho)
+    b1 = rho + width
+    chi = smoothstep_profile(rho, width)
+    gam = np.array(gammas)[:, None]
 
-        def num_band(r, _g=gam):
-            rwv, muv = special.rw(r), special.mu(r, n)
-            return (r * muv * (rwv * muv) ** (2.0 * _g)
-                    * (chi.dfn(r) * (rwv / r) - n * _g * chi.fn(r)) ** 2)
+    def band(r):
+        c2, m3 = special._c2(r), special._m3(r)
+        muv = m3 * c2 ** (n - 1)
+        rwv = c2 / (2.0 * m3)
+        cv, cp = chi.fn(r), chi.dfn(r)
+        f = r * muv * (rwv * muv) ** (2.0 * gam)
+        return np.concatenate([f * (cp * (rwv / r) - n * gam * cv) ** 2, cv * cv * f])
 
-        def den_band(r, _g=gam):
-            rwv, muv = special.rw(r), special.mu(r, n)
-            return chi.fn(r) ** 2 * (rwv * muv) ** (2.0 * _g) * r * muv
-
-        d_band = integrate(den_band, rho, b1, tol=tol).value
-        n_band = integrate(num_band, rho, b1, tol=tol).value
-        d_tail = _sweep_tail_integral(n, gam, b1, tol)
-        value = (n_band + (n * gam) ** 2 * d_tail) / (d_band + d_tail)
-        out.append((gam, value))
-    return out
+    n_band, d_band = integrate(band, rho, b1, rtol).value.reshape(2, -1)
+    d_tail = _sweep_tail_integral(n, gammas, b1, rtol)
+    values = (n_band + (n * gam[:, 0]) ** 2 * d_tail) / (d_band + d_tail)
+    return [(g, float(v)) for g, v in zip(gammas, values)]
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +531,7 @@ def sl_perp_estimate(cone, grid_n=1024, weighted=True):
 # Annulus identity, Garofalo weight, Euclidean appendix
 # ----------------------------------------------------------------------
 
-def annulus_identity_check(f, r1, r2, cone_n=1, tol=1e-10):
+def annulus_identity_check(f, r1, r2, cone_n=1, rtol=1e-10):
     """Residual of the annulus integration identity for a separable f.
 
     Both sides of
@@ -554,13 +551,13 @@ def annulus_identity_check(f, r1, r2, cone_n=1, tol=1e-10):
     h = f.h_effective()
     lo = max(-TWO_PI, h.support[0])
     hi = min(TWO_PI, h.support[1])
-    ih = integrate(lambda r: h.fn(r) * special.mu(r, n), lo, hi, tol=tol).value
+    ih = integrate(lambda r: h.fn(r) * special.mu(r, n), lo, hi, rtol).value
     area = sphere_area(n)
 
     g1 = float(np.asarray(g.fn(np.array([r1])))[0])
     g2 = float(np.asarray(g.fn(np.array([r2])))[0])
     lhs = (g2 - g1) * ih * area
-    rhs = integrate(lambda t: g.dfn(t), r1, r2, tol=tol).value * ih * area
+    rhs = integrate(lambda t: g.dfn(t), r1, r2, rtol).value * ih * area
     scale = max(abs(lhs), abs(rhs))
     if scale < 1e-13:
         return abs(lhs - rhs)
@@ -579,7 +576,7 @@ def garofalo_weight(p):
     return special.eta(c.r) / (c.t * c.t)
 
 
-def euclid_quotient(d, a, gam, tol=1e-10):
+def euclid_quotient(d, a, gam, rtol=1e-10):
     """Weighted Euclidean cone quotient of u = eta(t) cos^gamma(phi).
 
     On the cone {phi > a} in R^d with the polar field Xi = (1/t) d/dphi and
@@ -588,7 +585,8 @@ def euclid_quotient(d, a, gam, tol=1e-10):
         int |<grad u, Xi>|^2 / psi dx / int u^2 psi / t^2 dx = gamma^2,
 
     which this evaluates by honest quadrature of both integrals (shared
-    radial factor computed once); the angular integrands carry the local
+    radial factor computed once, both angular integrals in one call of
+    ``integrate``); the angular integrands carry the local
     power 2 gamma + d - 3 at phi = pi/2, handled by substitution when
     negative.
     """
@@ -602,24 +600,17 @@ def euclid_quotient(d, a, gam, tol=1e-10):
         raise ValueError(f"euclid_quotient: gamma must exceed (2-d)/2 = {0.5 * (2 - d)}")
 
     eta_t = bump_profile(1.0, 2.0)
-    t_factor = integrate(lambda t: eta_t.fn(t) ** 2 * t ** (d - 3), 1.0, 2.0, tol=tol).value
+    t_factor = integrate(lambda t: eta_t.fn(t) ** 2 * t ** (d - 3), 1.0, 2.0, rtol).value
 
     expo = 2.0 * gam + d - 3.0
     sing = ("right", expo) if expo < 0.0 else None
 
-    def num_phi(phi):
+    def phi_parts(phi):
         c, s = np.cos(phi), np.sin(phi)
-        return (gam * c ** (gam - 1.0) * s) ** 2 * (c / s) * c ** (d - 2)
+        return np.stack([(gam * c ** (gam - 1.0) * s) ** 2 * (c / s) * c ** (d - 2),
+                         c ** (2.0 * gam) * (s / c) * c ** (d - 2)])
 
-    def den_phi(phi):
-        c, s = np.cos(phi), np.sin(phi)
-        return c ** (2.0 * gam) * (s / c) * c ** (d - 2)
-
-    if gam == 0.0:
-        num = 0.0
-    else:
-        num = integrate(num_phi, a, 0.5 * math.pi, tol=tol, singularity=sing).value
-    den = integrate(den_phi, a, 0.5 * math.pi, tol=tol, singularity=sing).value
+    num, den = integrate(phi_parts, a, 0.5 * math.pi, rtol, singularity=sing).value
     return (num * t_factor) / (den * t_factor)
 
 

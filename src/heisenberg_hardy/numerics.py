@@ -6,7 +6,6 @@ Nothing in this module knows about the Heisenberg group; it is the layer the
 geometric and variational code sits on.
 """
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -49,46 +48,55 @@ _G_WEIGHTS = np.array([
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, error estimate and cost of an adaptive integration."""
-    value: float
-    error: float
+    """Value, error estimate and cost of an adaptive integration: floats for
+    a 1-D integrand, arrays of shape (k,) for k integrands."""
+    value: object
+    error: object
     evaluations: int
 
 
-def _gk15(f, lo, hi):
-    """Apply the 7/15 pair on [lo, hi]; returns (K15, |K15-G7| based error, n_evals)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid + half * _GK_NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
+def _gk15(f, edges):
+    """K15 values, QUADPACK error estimates and K15 integrals of |f| on the
+    panels edges[:, j] = (lo_j, hi_j) from one call of f, as an array of
+    shape (3, k, panels); and the number of dimensions f returned."""
+    half = 0.5 * (edges[1] - edges[0])
+    x = (0.5 * (edges[1] + edges[0]))[:, None] + half[:, None] * _GK_NODES
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.shape[-1:] != (x.size,) or y.ndim > 2:
         raise ValueError("integrate: integrand must be vectorized (f(array) -> array)")
-    k = half * float(_K_WEIGHTS @ y)
-    g = half * float(_G_WEIGHTS @ y[1::2])
-    if not (math.isfinite(k) and math.isfinite(g)):
+    rows = y.reshape(-1, _GK_NODES.size)
+    with np.errstate(all="ignore"):
+        k = rows @ _K_WEIGHTS
+        resasc = np.abs(rows - 0.5 * k[:, None]) @ _K_WEIGHTS
+        ratio = 200.0 * np.abs(k - rows[:, 1::2] @ _G_WEIGHTS) / resasc
+        out = np.stack((k, resasc * np.fmin(1.0, ratio * np.sqrt(ratio)),
+                        np.abs(rows) @ _K_WEIGHTS))
+    if not np.isfinite(out).all():
         raise QuadratureError("integrate: integrand returned non-finite values")
-    d = abs(k - g)
-    scale = abs(half)
-    err = scale * (200.0 * d / scale) ** 1.5 if scale > 0 else 0.0
-    err = max(err, 50.0 * np.finfo(float).eps * abs(k))
-    return k, err, x.size
+    return out.reshape(3, -1, half.size) * half, y.ndim
 
 
-def integrate(f, a, b, tol=1e-10, max_evals=1_000_000, singularity=None):
-    """Adaptively integrate a vectorized integrand over (a, b).
+def integrate(f, a, b, rtol=1e-10, max_evals=1_000_000, singularity=None):
+    """Adaptively integrate k vectorized integrands over (a, b) on shared nodes.
 
-    Worst-interval-first bisection with the Gauss-Kronrod 7/15 pair; all
-    nodes are strictly interior, so the integrand is never evaluated at
-    ``a`` or ``b``.
+    Gauss-Kronrod 7/15 panels with the QUADPACK error estimate; all nodes
+    are strictly interior, so the integrand is never evaluated at ``a`` or
+    ``b``.  Component k is done once its summed error estimate is at most
+    max(rtol |I_k|, 50 eps int |f_k|); the floor covers a value that
+    cancels to zero.  Each round bisects every panel whose error exceeds
+    1/M of a failing component's tolerance (M panels), and evaluates all
+    new panels in one call of ``f`` (Berntsen, Espelid & Genz 1991).
 
     Parameters
     ----------
     f : callable
-        Vectorized integrand, f(ndarray) -> ndarray.
-    tol : float
-        Absolute tolerance on the summed error estimate.
+        Vectorized integrand: f(x) for x of shape (m,) returns shape (m,)
+        for one integrand or (k, m) for k integrands.
+    rtol : float
+        Relative tolerance, applied to each component.
     max_evals : int
-        Budget of integrand evaluations; exceeding it raises QuadratureError.
+        Budget of integrand evaluations (nodes); exceeding it raises
+        QuadratureError, as does an error stuck on panels of rounding width.
     singularity : tuple or None
         Optional ("left"|"right", beta) declaring an integrable power
         behaviour f ~ (x - endpoint)^beta with beta > -1 at one endpoint.
@@ -98,7 +106,8 @@ def integrate(f, a, b, tol=1e-10, max_evals=1_000_000, singularity=None):
 
     Returns
     -------
-    QuadResult
+    QuadResult, with float fields for a 1-D integrand and (k,) arrays
+    otherwise.
     """
     a = float(a)
     b = float(b)
@@ -107,7 +116,9 @@ def integrate(f, a, b, tol=1e-10, max_evals=1_000_000, singularity=None):
     if b < a:
         raise ValueError("integrate: requires a <= b")
     if b == a:
-        return QuadResult(0.0, 0.0, 0)
+        shape = np.shape(f(np.empty(0)))[:-1]
+        zero = np.zeros(shape) if shape else 0.0
+        return QuadResult(zero, zero, 0)
 
     g, lo, hi = f, a, b
     if singularity is not None:
@@ -129,40 +140,37 @@ def integrate(f, a, b, tol=1e-10, max_evals=1_000_000, singularity=None):
                     return _f(_b - u ** (1.0 / _e)) * u ** (1.0 / _e - 1.0) / _e
             lo, hi = 0.0, (b - a) ** e
 
-    span = hi - lo
-    width_floor = 1e-14 * max(abs(lo), abs(hi), span)
-
-    val, err, evals = _gk15(g, lo, hi)
-    total_val, total_err = val, err
-    heap = [(-err, 0, lo, hi, val, err)]
-    counter = 1
-    stuck_err = 0.0
-
-    while heap and total_err > tol:
-        if evals + 30 > max_evals:
+    width_floor = 1e-14 * max(abs(lo), abs(hi), hi - lo)
+    edges = np.array([[lo], [hi]])
+    panels, ndim = _gk15(g, edges)
+    evals = _GK_NODES.size
+    while True:
+        val, err, babs = panels.sum(axis=2)
+        tol = np.maximum(rtol * np.abs(val), 50.0 * np.finfo(float).eps * babs)
+        failing = err > tol
+        if not failing.any():
+            break
+        split = (panels[1, failing] > (tol[failing] / edges.shape[1])[:, None]).any(axis=0)
+        split &= edges[1] - edges[0] >= width_floor
+        if not split.any():
             raise QuadratureError(
-                f"integrate: tolerance {tol:g} not reached within {max_evals} evaluations "
-                f"(error estimate {total_err:g})")
-        _, _, ilo, ihi, ival, ierr = heapq.heappop(heap)
-        if ihi - ilo < width_floor:
-            # Interval at rounding width; its error cannot be refined away.
-            stuck_err += ierr
-            if not heap and stuck_err > tol:
-                raise QuadratureError(
-                    f"integrate: error estimate stalled at {total_err:g} > tol {tol:g} "
-                    "(interval width at rounding level)")
-            continue
-        imid = 0.5 * (ilo + ihi)
-        v1, e1, n1 = _gk15(g, ilo, imid)
-        v2, e2, n2 = _gk15(g, imid, ihi)
-        evals += n1 + n2
-        total_val += (v1 + v2) - ival
-        total_err += (e1 + e2) - ierr
-        heapq.heappush(heap, (-e1, counter, ilo, imid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, imid, ihi, v2, e2))
-        counter += 2
+                f"integrate: error estimate stalled at {err.max():g} > rtol {rtol:g} "
+                "(panel width at rounding level)")
+        left, right = edges[:, split]
+        if evals + 2 * _GK_NODES.size * left.size > max_evals:
+            raise QuadratureError(
+                f"integrate: rtol {rtol:g} not reached within {max_evals} evaluations "
+                f"(error estimate {err.max():g})")
+        mid = 0.5 * (left + right)
+        halves = np.array([np.concatenate((left, mid)), np.concatenate((mid, right))])
+        new, _ = _gk15(g, halves)
+        evals += _GK_NODES.size * halves.shape[1]
+        edges = np.concatenate((edges[:, ~split], halves), axis=1)
+        panels = np.concatenate((panels[..., ~split], new), axis=2)
 
-    return QuadResult(total_val, total_err, evals)
+    if ndim == 1:
+        return QuadResult(float(val[0]), float(err[0]), evals)
+    return QuadResult(val, err, evals)
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +281,6 @@ def _bisect(d, e, tol, lo=None, hi=None, factors=None):
         else:
             lo, factors = mid, (df, ef)
     return lo, hi, factors
-
-
-def _min_eig_bracket(d, e, bisect_tol):
-    """Plain ``_bisect`` from its default bracket; returns (lo, hi)."""
-    return _bisect(d, e, bisect_tol)[:2]
 
 
 def sl_min_eig(problem, bisect_tol=1e-10):

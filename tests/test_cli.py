@@ -220,7 +220,7 @@ def test_scipy_loads_only_for_sl_min_eig():
 
 
 def test_numerical_failure_exit_3(monkeypatch, capsys):
-    def boom(n, tol=1e-12):
+    def boom(n, rtol=1e-12):
         raise QuadratureError("synthetic stall")
 
     monkeypatch.setattr(cli.hardy, "koranyi_upper_bound", boom)

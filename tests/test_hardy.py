@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from heisenberg_hardy import geometry, hardy, special
 from heisenberg_hardy.hardy import (
@@ -121,7 +124,7 @@ def test_radial_variant_reduces_to_one_dimensional_integrals():
     n = cone.n
 
     def q(f, lo, hi):
-        return integrate(f, lo, hi, tol=1e-12).value
+        return integrate(f, lo, hi, rtol=1e-12).value
 
     i_gp2 = q(lambda t: g.dfn(t) ** 2 * t ** (2 * n + 1), *g.support)
     i_ggp = q(lambda t: g.fn(t) * g.dfn(t) * t ** (2 * n), *g.support)
@@ -144,6 +147,81 @@ def test_quotient_admissibility_and_variant_errors():
     u = _test_function(cone)
     with pytest.raises(ValueError):
         separable_quotient(u, cone, variant="sideways")
+
+
+def _quad_reference(u, cone, variant):
+    """The quotient from scipy's QUADPACK, one scalar integral at a time."""
+    n, g, h = cone.n, u.g, u.h_effective()
+
+    def q(f, lo, hi):
+        return quad(lambda x: float(f(np.array([x]))[0]), lo, hi,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    t0, t1 = g.support
+    r0, r1 = max(cone.rho, h.support[0]), min(TWO_PI, h.support[1])
+    i_gp2 = q(lambda t: g.dfn(t) ** 2 * t ** (2 * n + 1), t0, t1)
+    i_ggp = q(lambda t: g.fn(t) * g.dfn(t) * t ** (2 * n), t0, t1)
+    i_g2 = q(lambda t: g.fn(t) ** 2 * t ** (2 * n - 1), t0, t1)
+    j = {name: q(lambda r, f=f: f(r) * special.mu(r, n), r0, r1) for name, f in (
+        ("h2", lambda r: h.fn(r) ** 2),
+        ("rhhp", lambda r: r * h.fn(r) * h.dfn(r)),
+        ("r2hp2", lambda r: (r * h.dfn(r)) ** 2),
+        ("perp", lambda r: (special.rw(r) * h.dfn(r)) ** 2),
+        ("pw_num", lambda r: special.rw(r) ** 2 / r * h.dfn(r) ** 2),
+        ("pw_den", lambda r: r * h.fn(r) ** 2),
+        ("eta", lambda r: h.fn(r) ** 2 * special.eta(r)))}
+    radial = i_gp2 * j["h2"] + 2.0 * i_ggp * j["rhhp"] + i_g2 * j["r2hp2"]
+    perp = i_g2 * j["perp"]
+    return {"full": (radial + perp) / (i_g2 * j["h2"]),
+            "radial": radial / (i_g2 * j["h2"]),
+            "perp": perp / (i_g2 * j["h2"]),
+            "perp_weighted": j["pw_num"] / j["pw_den"],
+            "garofalo": (radial + perp) / (i_g2 * j["eta"])}[variant]
+
+
+@pytest.mark.parametrize("variant", ["full", "radial", "perp", "perp_weighted", "garofalo"])
+def test_quotient_matches_quadpack_on_a_narrow_cone(variant):
+    # n = 3, alpha = 0.01: the r-integrals are of size 1e-12, which an
+    # absolute tolerance resolves only to ~1e-3 relative
+    cone = ConeSpec.from_alpha(3, 0.01)
+    u = SeparableFn(bump_profile(0.5, 3.0),
+                    smoothstep_profile(cone.rho, 0.5 * (TWO_PI - cone.rho)))
+    ref = _quad_reference(u, cone, variant)
+    assert abs(separable_quotient(u, cone, variant=variant) - ref) < 1e-9 * ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), log_s=st.floats(-3.0, 3.0), log_alpha=st.floats(-2.0, 2.0))
+def test_quotient_dilation_invariance(n, log_s, log_alpha):
+    cone = ConeSpec.from_alpha(n, 10.0 ** log_alpha)
+    h = smoothstep_profile(cone.rho, 0.5 * (TWO_PI - cone.rho))
+    s = 10.0 ** log_s
+    for variant in ("full", "radial", "perp", "perp_weighted", "garofalo"):
+        ref = separable_quotient(SeparableFn(bump_profile(0.5, 3.0), h), cone, variant=variant)
+        got = separable_quotient(SeparableFn(bump_profile(0.5 * s, 3.0 * s), h), cone,
+                                 variant=variant)
+        assert abs(got - ref) <= 1e-9 * ref
+
+
+def test_integrate_calls_per_result(monkeypatch):
+    calls = []
+
+    def counted(f, a, b, *args, **kwargs):
+        calls.append(1)
+        return integrate(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(hardy, "integrate", counted)
+    cone = ConeSpec.from_alpha(2, 1.0)
+    u = _test_function(cone)
+    for variant in ("full", "radial", "perp", "perp_weighted", "garofalo"):
+        calls.clear()
+        separable_quotient(u, cone, variant=variant)
+        assert len(calls) <= 2
+    for fn, limit in ((lambda: sharpness_sweep(cone), 2), (lambda: koranyi_upper_bound(2), 1),
+                      (lambda: radial_sequence_quotient(100.0), 1)):
+        calls.clear()
+        fn()
+        assert len(calls) <= limit
 
 
 def test_quotient_scale_invariance():
@@ -172,7 +250,7 @@ def test_koranyi_upper_bound_matches_oracle(n):
 
 
 def test_mu_integral_oracle():
-    got = integrate(lambda r: special.mu(r, 1), 0.0, TWO_PI, tol=1e-13).value
+    got = integrate(lambda r: special.mu(r, 1), 0.0, TWO_PI, rtol=1e-13).value
     assert abs(got - MU_INTEGRAL_N1) < 1e-13
 
 
@@ -256,9 +334,17 @@ def test_sweep_tail_factorization_matches_raw():
         b1 = math.pi
         direct = integrate(
             lambda r: (special.rw(r) * special.mu(r, n)) ** (2.0 * gam)
-            * r * special.mu(r, n), b1, special.TWO_PI - 1e-12, tol=1e-12).value
-        factored = hardy._sweep_tail_integral(n, gam, b1, tol=1e-12)
+            * r * special.mu(r, n), b1, special.TWO_PI - 1e-12, rtol=1e-12).value
+        factored = hardy._sweep_tail_integral(n, [gam], b1, rtol=1e-12)[0]
         assert abs(factored - direct) < 1e-9 * direct
+
+
+def test_sharpness_sweep_matches_tight_rtol():
+    cone = ConeSpec.from_alpha(3, 0.3)
+    loose = sharpness_sweep(cone)
+    tight = sharpness_sweep(cone, rtol=1e-13)
+    for (_, a), (_, b) in zip(loose, tight):
+        assert abs(a - b) < 1e-8 * b
 
 
 def test_sharpness_sweep_n2():

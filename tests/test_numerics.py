@@ -48,7 +48,7 @@ def test_polynomial_exact_in_one_panel():
 def test_smooth_integrals():
     res = integrate(np.sin, 0.0, math.pi)
     assert abs(res.value - 2.0) < 1e-13
-    res = integrate(lambda x: np.exp(-x * x), -8.0, 8.0, tol=1e-12)
+    res = integrate(lambda x: np.exp(-x * x), -8.0, 8.0, rtol=1e-12)
     assert abs(res.value - math.sqrt(math.pi)) < 1e-12
     # reversed endpoints are rejected, not silently sign-flipped
     with pytest.raises(ValueError):
@@ -66,13 +66,13 @@ def test_endpoint_singularities():
 
 
 def test_log_singularity_without_hint():
-    res = integrate(np.log, 0.0, 1.0, tol=1e-10)
+    res = integrate(np.log, 0.0, 1.0, rtol=1e-10)
     assert abs(res.value + 1.0) < 1e-10
 
 
 def test_budget_exhaustion_raises():
     with pytest.raises(QuadratureError):
-        integrate(lambda x: x ** -0.99, 1e-300, 1.0, tol=1e-10, max_evals=20000)
+        integrate(lambda x: x ** -0.99, 1e-300, 1.0, rtol=1e-10, max_evals=20000)
 
 
 def test_nonfinite_integrand_raises():
@@ -90,6 +90,39 @@ def test_singularity_validation():
         integrate(np.sin, 0.0, 1.0, singularity=("left", -1.0))
     with pytest.raises(ValueError):
         integrate(np.sin, 0.0, 1.0, singularity=("middle", -0.5))
+
+
+def test_vector_integrand_meets_rtol_per_component():
+    # 60 decades apart on shared nodes: a tolerance on the norm of the
+    # vector would leave the small component unresolved
+    res = integrate(lambda x: np.stack([1e-30 * np.cos(x), 1e30 * np.exp(-x * x)]),
+                    -3.0, 3.0, rtol=1e-12)
+    exact = np.array([2e-30 * math.sin(3.0), 1e30 * math.sqrt(math.pi) * math.erf(3.0)])
+    assert res.value.shape == res.error.shape == (2,)
+    assert np.all(np.abs(res.value - exact) <= 1e-12 * np.abs(exact))
+    assert np.all(res.error <= 1e-12 * np.abs(res.value))
+
+
+def test_odd_integrand_on_symmetric_interval_ends():
+    # the value cancels to rounding; the 50 eps int |f| floor ends it
+    res = integrate(lambda x: x ** 3 * np.exp(x * x), -2.0, 2.0)
+    assert abs(res.value) < 1e-12
+    res = integrate(lambda x: np.stack([np.sin(x), np.cos(x)]), -math.pi, math.pi)
+    assert abs(res.value[0]) < 1e-14 and abs(res.value[1]) < 1e-14
+
+
+def test_one_dimensional_integrand_returns_floats():
+    res = integrate(np.cos, 0.0, 1.0)
+    assert type(res.value) is float and type(res.error) is float
+    empty = integrate(lambda x: np.stack([x, x]), 1.0, 1.0)
+    assert np.array_equal(empty.value, [0.0, 0.0]) and empty.evaluations == 0
+
+
+def test_budget_and_stall_are_reported():
+    with pytest.raises(QuadratureError, match="evaluations"):
+        integrate(np.log, 0.0, 1.0, max_evals=100)
+    with pytest.raises(QuadratureError, match="rounding"):
+        integrate(lambda x: x ** -0.99, 1e-300, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +325,7 @@ def test_sl_bracket_zero_pivot_moves_hi():
     d, e = lam + lap, -np.ones(31)
     assert np.array_equal(d - lam, lap)
     assert dpttrf(d - lam, e)[2] == 32
-    lo, hi = numerics._min_eig_bracket(d, e, 1e-10)
+    lo, hi = numerics._bisect(d, e, 1e-10)[:2]
     assert hi == lam
     assert lo < lam
 
