@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .special import TWO_PI, _c2, _k3, _m3, _q1
+from .special import TWO_PI, _kernels
 from .numerics import integrate
 
 
@@ -186,13 +186,13 @@ def _A_prime(r):
     sr, cr = math.sin(r), math.cos(r)
     return np.array([[cr, -sr], [sr, cr]])
 
-def _at(kernel, r):
-    """A vectorized kernel evaluated at the scalar r, as a float."""
-    return float(kernel(np.atleast_1d(r))[0])
+def _at(r):
+    """The kernels q1, c2, m3 at the scalar r, as three floats."""
+    return tuple(float(k[0]) for k in _kernels(np.atleast_1d(r)))
 
 def _A_over_r(r, c2r):
     """A(r)/r from c2(r), removable at r = 0: diag sinc(r), off-diagonal -+ r c2(r)/2."""
-    s = _at(np.sinc, r / math.pi)                 # sin(r)/r
+    s = float(np.sinc(r / math.pi))               # sin(r)/r
     h = 0.5 * r * c2r                             # (1 - cos r)/r
     return np.array([[s, -h], [h, s]])
 
@@ -219,7 +219,7 @@ def from_polar(c):
     t, r = c.t, c.r
     if abs(r) == TWO_PI:
         return Point(np.zeros_like(c.varpi), math.copysign(t * t / (4.0 * math.pi), r))
-    return _point(t, c.varpi, r, _at(_q1, r), _at(_c2, r))
+    return _point(t, c.varpi, r, *_at(r)[:2])
 
 
 def _point(t, varpi, r, q1r, c2r):
@@ -253,7 +253,7 @@ def to_polar(p):
     if rmag > math.pi:
         # sin(r/2) vanishes at 2*pi, so near the center it amplifies the
         # rounding of r; the height z = t^2 r q1(r)/2 gives t without it.
-        t = math.sqrt(2.0 * abs(p.z) / (rmag * _at(_q1, rmag)))
+        t = math.sqrt(2.0 * abs(p.z) / (rmag * _at(rmag)[0]))
     else:
         t = rmag * nxi / (2.0 * math.sin(0.5 * rmag))
     # varpi_i = (r/t) A(r)^T xi_i / (2 - 2 cos r) = B xi_i / t: stable
@@ -315,7 +315,7 @@ def jacobian(c):
     dim = 2 * n + 1
     varpi = c.varpi
     A = _A(r)
-    q1r, c2r = _at(_q1, r), _at(_c2, r)
+    q1r, c2r, _ = _at(r)
     Aor = _A_over_r(r, c2r)
 
     cols = np.empty((dim, dim))
@@ -330,7 +330,7 @@ def jacobian(c):
     # d/dr column
     cols[:-1, -1] = (t / r) * _apply_block(
         _A_prime_minus_A_over_r(r, c2r, q1r), varpi)
-    cols[-1, -1] = -0.5 * t * t * _at(_k3, r)
+    cols[-1, -1] = -0.5 * t * t * (2.0 * q1r - 0.5 * c2r)     # k3 = 2 q1 - c2/2
 
     det = float(np.linalg.det(cols))
     if det < 0.0:
@@ -353,7 +353,7 @@ def grad_delta(p):
         raise ValueError("grad_delta: undefined on the center xi = 0")
     c = to_polar(p)
     v_xi = _apply_block(_A_prime(c.r), c.varpi)
-    v_z = 0.25 * c.t * c.r * _at(_c2, c.r)
+    v_z = 0.25 * c.t * c.r * _at(c.r)[1]
     return TangentVec(base=p, v_xi=v_xi, v_z=v_z)
 
 
@@ -379,7 +379,7 @@ def frame(c):
         raise ValueError("frame: requires t > 0 and 0 < |r| < 2*pi")
     n = c.n
     varpi = c.varpi
-    q1r, c2r, m3r, k3r = (_at(kernel, r) for kernel in (_q1, _c2, _m3, _k3))
+    q1r, c2r, m3r = _at(r)
     point = _point(t, varpi, r, q1r, c2r)
     A = _A(r)
     Ap = _A_prime(r)
@@ -393,7 +393,7 @@ def frame(c):
     v1 = TangentVec(base=point, v_xi=_apply_block(Ap, varpi), v_z=0.25 * t * r * c2r)
     xi2 = (vv * _apply_block(A, Jvarpi)
            + ww * _apply_block(_A_prime_minus_A_over_r(r, c2r, q1r), varpi))
-    v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * rwr * k3r)
+    v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * rwr * (2.0 * q1r - 0.5 * c2r))
     vecs = [v1, v2]
     wdirs = _complete_basis([varpi, Jvarpi], 2 * n)
     sgn = math.copysign(1.0, r)

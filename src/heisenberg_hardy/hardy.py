@@ -193,14 +193,14 @@ def separable_quotient(u, cone, variant="full", rtol=1e-10):
 
     def r_parts(r):
         hv, hp = h.fn(r), h.dfn(r)
-        c2, m3 = special._c2(r), special._m3(r)
+        q1, c2, m3 = special._kernels(r)
         muv = m3 * c2 ** (n - 1)
         rwv = c2 / (2.0 * m3)
         parts = [hv * hv * muv, r * hv * hp * muv, (r * hp) ** 2 * muv, (rwv * hp) ** 2 * muv]
         if variant == "perp_weighted":
             parts += [rwv ** 2 / r * hp ** 2 * muv, r * hv * hv * muv]
         elif variant == "garofalo":
-            parts.append(hv * hv * c2 / (4.0 * (special._q1(r) + m3)) * muv)
+            parts.append(hv * hv * c2 / (4.0 * (q1 + m3)) * muv)
         return np.stack(parts)
 
     i_gp2, i_ggp, i_g2 = integrate(t_parts, t0, t1, rtol).value
@@ -258,8 +258,9 @@ def koranyi_upper_bound(n, rtol=1e-12):
     n = int(n)
 
     def parts(r):
-        den = special.gamma(r) ** (-2 * n) * special.mu(r, n)
-        return np.stack([den * special.eta(r), den])
+        q1, c2, m3 = special._kernels(r)
+        den = (2.0 * (q1 + m3) ** 0.5) ** -n * m3 * c2 ** (n - 1)    # gamma^(-2n) mu
+        return np.stack([den * c2 / (4.0 * (q1 + m3)), den])
 
     top, bot = integrate(parts, 0.0, TWO_PI, rtol).value
     return n * n * top / bot
@@ -347,7 +348,7 @@ def sharpness_sweep(cone, gammas=None, width_factor=0.1, rtol=1e-10):
     gam = np.array(gammas)[:, None]
 
     def band(r):
-        c2, m3 = special._c2(r), special._m3(r)
+        _, c2, m3 = special._kernels(r)
         muv = m3 * c2 ** (n - 1)
         rwv = c2 / (2.0 * m3)
         cv, cp = chi.fn(r), chi.dfn(r)
@@ -418,12 +419,6 @@ class SantaloReport:
     passed: bool
 
 
-def _height_ratio(r):
-    """(r - sin r)/(2 r^2) = z/t^2 along the unit-speed polar rays."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    return 0.5 * arr * special._q1(arr)
-
-
 def santalo_geometry_check(n=1, alpha=4.0, samples=64, seed=0):
     """Verify the two geometric facts behind the Santalo-type lower bound.
 
@@ -444,7 +439,7 @@ def santalo_geometry_check(n=1, alpha=4.0, samples=64, seed=0):
         return float(r * (1.0 - math.cos(r)) - 2.0 * (r - math.sin(r)))
 
     argmax = find_root_monotone(stationarity, 2.0, 4.0, tol=0.0)
-    max_value = float(_height_ratio(argmax)[0])
+    max_value = 0.5 * argmax * geometry._at(argmax)[0]     # z/t^2 = r q1(r)/2
     stat_res = abs(stationarity(argmax))
 
     rng = np.random.default_rng(seed)
@@ -515,12 +510,14 @@ def sl_perp_estimate(cone, grid_n=1024, weighted=True):
         raise ValueError("sl_perp_estimate: unweighted case needs rho > 0 "
                          "(Dirichlet node exists)")
 
-    # rw = c2/(2 m3) and mu = m3 c2^(n-1): one c2 and one m3 per grid
+    # rw = c2/(2 m3) and mu = m3 c2^(n-1): one ``_kernels`` call per grid
     def p(r):
-        return special._c2(r) ** (n + 1) / (4.0 * (r if weighted else 1.0) * special._m3(r))
+        _, c2, m3 = special._kernels(r)
+        return c2 ** (n + 1) / (4.0 * (r if weighted else 1.0) * m3)
 
     def q(r):
-        return (r if weighted else 1.0) * special._m3(r) * special._c2(r) ** (n - 1)
+        _, c2, m3 = special._kernels(r)
+        return (r if weighted else 1.0) * m3 * c2 ** (n - 1)
 
     problem = SLProblem(p=p, q=q, a=rho, b=TWO_PI, grid_n=int(grid_n),
                         right_bc="natural")

@@ -4,17 +4,21 @@ Everything in this module is a function of the vertical angle ``r`` (and the
 dimension parameter ``n`` where it matters).  The functions come in two
 layers:
 
-* four stable scalar kernels ``q1, c2, m3, m4`` that isolate every
-  trigonometric cancellation once and for all,
+* three stable scalar kernels that isolate every trigonometric
+  cancellation once and for all, computed together by ``_kernels`` from
+  two sines per value,
 
       q1(r) = (r - sin r) / r^3
       c2(r) = 2 (1 - cos r) / r^2
       m3(r) = (2 - 2 cos r - r sin r) / r^4
-      m4(r) = (r^2 - 2 r sin r - 2 cos r + 2) / r^4 = q1(r) + m3(r)
 
-  each evaluated by a truncated even Taylor series for small ``|r|`` and by
-  the closed form elsewhere, giving relative accuracy near machine epsilon
-  on all of [-2*pi, 2*pi];
+  and the exact identities m4 = (r^2 - 2 r sin r - 2 cos r + 2)/r^4 =
+  q1 + m3 and k3 = (r - 2 sin r + r cos r)/r^3 = 2 q1 - c2/2.  Measured
+  against 80-digit references on [0, 2*pi], c2 holds 5 ulps and the series
+  of q1 and m3 1 ulp, but their closed forms still cancel just above
+  SERIES_SWITCH: q1 is off by up to 63 ulps (1.05e-14 relative) and m3
+  by up to 471 ulps (7.9e-14), at r = 0.253 and 0.254; on [1, 2*pi] they
+  hold 2 and 21 ulps.  ROADMAP item 2 is the accuracy work;
 
 * the model's named functions assembled from the kernels without further
   cancellation:
@@ -35,27 +39,18 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Below this |r| the closed forms lose digits to cancellation (the worst,
-# r - sin r, has relative error ~6 eps / r^2), so the kernels switch to
+# Below this |r| the closed forms lose digits to cancellation (r - sin r
+# and c2 - sin(r)/r vanish like r^3 and r^2), so the kernels switch to
 # series.  Eight even terms keep the truncation error under 1e-20 here.
 SERIES_SWITCH = 0.25
 
-# Taylor coefficients in x = r^2:
+# Taylor coefficients of (q1, m3) in x = r^2, highest power first, shaped
+# for one Horner pass over both series:
 #   q1: sum_{j>=0} (-1)^j x^j / (2j+3)!
 #   m3: sum_{j>=0} (-1)^j (2j+2) x^j / (2j+4)!
-#   k3: sum_{j>=0} (-1)^(j+1) (2j+1) x^j / (2j+3)!   for (r - 2 sin r + r cos r)/r^3
-_Q1_COEF = [(-1.0) ** j / math.factorial(2 * j + 3) for j in range(8)]
-_M3_COEF = [(-1.0) ** j * (2 * j + 2) / math.factorial(2 * j + 4) for j in range(8)]
-_K3_COEF = [(-1.0) ** (j + 1) * (2 * j + 1) / math.factorial(2 * j + 3) for j in range(8)]
-
-
-def _polyval_even(coef, r):
-    """Evaluate sum_j coef[j] * r^(2j) by Horner's rule."""
-    x = r * r
-    out = np.full_like(x, coef[-1])
-    for c in coef[-2::-1]:
-        out = out * x + c
-    return out
+_SERIES_COEF = np.array([[(-1.0) ** j / math.factorial(2 * j + 3),
+                          (-1.0) ** j * (2 * j + 2) / math.factorial(2 * j + 4)]
+                         for j in reversed(range(8))])[:, :, None]
 
 
 def _split(r):
@@ -68,46 +63,41 @@ def _join(out, scalar):
     return float(out[0]) if scalar else out
 
 
-def _series_or_closed(r, coef, closed):
-    """Even series ``coef`` where |r| < SERIES_SWITCH, ``closed(r)`` elsewhere.
-
-    A branch with no elements is skipped: on the one-element arrays of the
-    polar chart and ``invert_phi`` it would cost as much as the other."""
-    small = np.abs(r) < SERIES_SWITCH
-    out = np.empty_like(r)
-    if small.any():
-        out[small] = _polyval_even(coef, r[small])
-    if not small.all():
-        out[~small] = closed(r[~small])
-    return out
-
-
-def _q1(r):
-    """(r - sin r)/r^3, stable on all of [-2*pi, 2*pi]."""
-    return _series_or_closed(r, _Q1_COEF, lambda x: (x - np.sin(x)) / x ** 3)
-
-
 def _c2(r):
     """2(1 - cos r)/r^2 = sinc(r/(2*pi))^2 via the half-angle sine; stable everywhere."""
     return np.sinc(r / TWO_PI) ** 2
 
 
-def _m3(r):
-    """(2 - 2 cos r - r sin r)/r^4, with 2 - 2 cos r = 4 sin(r/2)^2 so that
-    nothing cancels but the final difference, also near |r| = 2*pi."""
-    return _series_or_closed(
-        r, _M3_COEF, lambda x: (4.0 * np.sin(0.5 * x) ** 2 - x * np.sin(x)) / x ** 4)
+def _kernels(r):
+    """The kernels (q1, c2, m3) at the float array r, from two sines per value.
 
+    All three are even, so the closed forms run on a = |r|, with s = sin a:
 
-def _m4(r):
-    """(r^2 - 2 r sin r - 2 cos r + 2)/r^4 = q1 + m3 (an exact split)."""
-    return _q1(r) + _m3(r)
+        q1 = (a - s)/a^3,   c2 = sinc(r/(2*pi))^2,   m3 = (c2 - s/a)/a^2,
 
-
-def _k3(r):
-    """(r - 2 sin r + r cos r)/r^3; appears in the z-row of the Jacobian."""
-    return _series_or_closed(
-        r, _K3_COEF, lambda x: (x - 2.0 * np.sin(x) + x * np.cos(x)) / x ** 3)
+    the last from 2 - 2 cos r - r sin r = r^2 (c2 - sin(r)/r).  Where
+    |r| < SERIES_SWITCH one Horner pass over both series overwrites q1 and
+    m3 (the closed forms give nan at r = 0 and x = r^2 underflows at tiny
+    r, hence the ignored errors).  Each value depends only on its own r,
+    so a batch is bit-equal to one-element calls.
+    """
+    c2 = _c2(r)
+    a = np.abs(r)
+    with np.errstate(all="ignore"):
+        s = np.sin(a)
+        q1 = a - s
+        q1 /= a ** 3
+        s /= a
+        m3 = np.subtract(c2, s, out=s)
+        m3 /= a * a
+        small = a < SERIES_SWITCH
+        if small.any():
+            x = a[small] ** 2
+            series = _SERIES_COEF[0]
+            for coef in _SERIES_COEF[1:]:
+                series = series * x + coef
+            q1[small], m3[small] = series
+    return q1, c2, m3
 
 
 def eval_phi(r):
@@ -128,7 +118,8 @@ def eval_phi(r):
         raise ValueError("phi: r = 0 is a pole (phi ~ 12/r)")
     if np.any(np.abs(arr) > TWO_PI):
         raise ValueError("phi: |r| must not exceed 2*pi")
-    out = 2.0 * _c2(arr) / (_q1(arr) * arr)
+    q1, c2, _ = _kernels(arr)
+    out = 2.0 * c2 / (q1 * arr)
     # cos(2*pi) rounds to just under 1, leaving a harmless ~1e-32 residue;
     # pin the endpoint so that invert_phi(0) round-trips exactly.
     out[np.abs(arr) == TWO_PI] = np.copysign(0.0, arr[np.abs(arr) == TWO_PI])
@@ -147,7 +138,7 @@ def invert_phi(a):
     Elsewhere Newton's method on log phi(r) - log a runs over the whole
     array, started from the asymptotic inverses r = 12/a (phi ~ 12/r at
     r -> 0) and r = 2*pi - sqrt(pi a) (phi ~ (2*pi - r)^2/pi at 2*pi).
-    Each iteration evaluates q1, c2 and m3 once:
+    Each iteration makes one ``_kernels`` call for q1, c2 and m3:
 
         log phi = log(2 c2 / (r q1)),   d log phi / dr = -2 m3 / (r q1 c2),
 
@@ -179,7 +170,7 @@ def invert_phi(a):
     rtol = 4.0 * np.finfo(float).eps
     # Terminates: every element still iterating has a strictly smaller step.
     while idx.size:
-        q1, c2, m3 = _q1(r), _c2(r), _m3(r)
+        q1, c2, m3 = _kernels(r)
         rq1 = r * q1
         new = np.clip(r + np.log(2.0 * c2 / rq1 / aa) * (rq1 * c2) / (2.0 * m3),
                       0.5 * r, 0.5 * (r + TWO_PI))
@@ -198,35 +189,39 @@ def mu(r, n=1):
     for every n and mu(+-2*pi) = 0.
     """
     arr, scalar = _split(r)
-    out = _m3(arr) * _c2(arr) ** (n - 1)
-    return _join(out, scalar)
+    _, c2, m3 = _kernels(arr)
+    return _join(m3 * c2 ** (n - 1), scalar)
 
 
 def rw(r):
     """r * w(r) = c2/(2 m3); smooth and positive on (-2*pi, 2*pi), value 6 at 0."""
     arr, scalar = _split(r)
-    return _join(_c2(arr) / (2.0 * _m3(arr)), scalar)
+    _, c2, m3 = _kernels(arr)
+    return _join(c2 / (2.0 * m3), scalar)
 
 
 def rv(r):
     """r * v(r) = q1/m3; smooth on (-2*pi, 2*pi), value 2 at 0."""
     arr, scalar = _split(r)
-    return _join(_q1(arr) / _m3(arr), scalar)
+    q1, _, m3 = _kernels(arr)
+    return _join(q1 / m3, scalar)
 
 
 def w(r):
     """w(r) = (1 - cos r)/(2 - 2 cos r - r sin r) * r; simple pole at r = 0."""
     arr, scalar = _split(r)
+    _, c2, m3 = _kernels(arr)
     with np.errstate(divide="ignore"):
-        out = _c2(arr) / (2.0 * _m3(arr) * arr)
+        out = c2 / (2.0 * m3 * arr)
     return _join(out, scalar)
 
 
 def v(r):
     """v(r) = (r - sin r)/(2 - 2 cos r - r sin r) / r; poles at r = 0 and +-2*pi."""
     arr, scalar = _split(r)
+    q1, _, m3 = _kernels(arr)
     with np.errstate(divide="ignore"):
-        out = _q1(arr) / (_m3(arr) * arr)
+        out = q1 / (m3 * arr)
     return _join(out, scalar)
 
 
@@ -237,7 +232,8 @@ def gamma(r):
     pi^(-1/2) at |r| = 2*pi.
     """
     arr, scalar = _split(r)
-    return _join(math.sqrt(2.0) * _m4(arr) ** 0.25, scalar)
+    q1, _, m3 = _kernels(arr)
+    return _join(math.sqrt(2.0) * (q1 + m3) ** 0.25, scalar)
 
 
 def eta(r):
@@ -247,7 +243,8 @@ def eta(r):
     in |r|.
     """
     arr, scalar = _split(r)
-    return _join(_c2(arr) / (4.0 * _m4(arr)), scalar)
+    q1, c2, m3 = _kernels(arr)
+    return _join(c2 / (4.0 * (q1 + m3)), scalar)
 
 
 @dataclass(frozen=True)
@@ -283,7 +280,7 @@ def eval_weights(r, n=1):
         raise ValueError("eval_weights: |r| must not exceed 2*pi")
     if n < 1 or n != int(n):
         raise ValueError("eval_weights: n must be a positive integer")
-    q1, c2, m3 = _q1(arr), _c2(arr), _m3(arr)
+    q1, c2, m3 = _kernels(arr)
     m4 = q1 + m3
     with np.errstate(divide="ignore"):
         phi_val = 2.0 * c2 / (q1 * arr)
@@ -360,10 +357,13 @@ def check_identities(n=1, grid_size=10_000, fd_step=1e-5):
     # (b) Gaveau-Garofalo identity, relative residual.  The right side is
     # 2 (r^2 - 2 r sin r - 2 cos r + 2)/(r^2 (1 - cos r)) = 4 m4/c2; both
     # sides are evaluated through the stable kernels (the naive right-hand
-    # numerator alone loses ~12 digits at r = 1e-3), but along different
-    # kernel paths, so the algebraic identity is genuinely exercised.
-    lhs = (1.0 + w(r) ** 2) / w(r) ** 2
-    rhs = 4.0 * _m4(r) / _c2(r)
+    # numerator alone loses ~12 digits at r = 1e-3): the left side through
+    # w = c2/(2 r m3), the right through m4 = q1 + m3, so the identity that
+    # ties q1 to c2 and m3 is genuinely exercised.
+    w2 = w(r) ** 2
+    lhs = (1.0 + w2) / w2
+    q1, c2, m3 = _kernels(r)
+    rhs = 4.0 * (q1 + m3) / c2
     res_b = float(np.max(np.abs(lhs - rhs) / rhs))
 
     # (c) parity

@@ -6,6 +6,7 @@ conventions at |r| = 2*pi are exact.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -55,17 +56,58 @@ SAMPLE_R = [1e-8, 1e-4, 0.01, 0.2, 0.24999, 0.25001, 0.3, 1.0, 2.0,
 
 
 def test_kernels_match_extended_precision():
-    # q1 and c2 hold ~1 ulp everywhere (c2 goes through the half-angle
-    # sine).  m3 gives up about a digit just above the series switch, where
-    # 4 sin(r/2)^2 and r sin r still nearly cancel; because 2 - 2cos r is
-    # taken as 4 sin(r/2)^2, it keeps full relative accuracy up to its zero
-    # at 2*pi.
+    # q1 and c2 hold ~1 ulp at these points (c2 goes through the half-angle
+    # sine).  m3 = (c2 - sin(r)/r)/r^2 gives up about two digits just above
+    # the series switch, where c2 and sin(r)/r still nearly cancel; near
+    # 2*pi the two terms have one sign, so it keeps full relative accuracy
+    # up to its zero there.
     for r in SAMPLE_R:
-        arr = np.array([r])
-        assert abs(float(special._q1(arr)[0]) - float(_mp_q1(r))) <= 1e-14 * float(_mp_q1(r))
-        assert abs(float(special._c2(arr)[0]) - float(_mp_c2(r))) <= 1e-14 * float(_mp_c2(r))
+        q1, c2, m3 = (float(k[0]) for k in special._kernels(np.array([r])))
+        assert abs(q1 - float(_mp_q1(r))) <= 1e-14 * float(_mp_q1(r))
+        assert abs(c2 - float(_mp_c2(r))) <= 1e-14 * float(_mp_c2(r))
         m3_ref = float(_mp_m3(r))
-        assert abs(float(special._m3(arr)[0]) - m3_ref) <= 1e-13 * abs(m3_ref)
+        assert abs(m3 - m3_ref) <= 1e-13 * abs(m3_ref)
+
+
+def _mp_k3(r):
+    return (r - 2 * mpmath.sin(r) + r * mpmath.cos(r)) / r ** 3
+
+
+def test_kernels_match_extended_precision_on_a_dense_grid():
+    # The worst points sit just above the series switch, where a - sin a
+    # and c2 - sin(a)/a still cancel, and next to 2*pi, where c2 and m3
+    # vanish and only relative accuracy counts.  Just above the switch q1
+    # is off by up to 1.05e-14 (63 ulps near r = 0.2528), so its bound is
+    # 1.1e-14 here, not the 1e-14 of the sample points above.
+    # k3 = (r - 2 sin r + r cos r)/r^3 is taken as 2 q1 - c2/2, an exact
+    # identity.
+    r = np.concatenate([np.linspace(0.0, TWO_PI, 4001)[1:], np.linspace(0.25, 0.27, 2001),
+                        TWO_PI - 10.0 ** -np.arange(1.0, 13.0)])
+    q1, c2, m3 = special._kernels(r)
+    ref = np.array([[float(f(x)) for f in (_mp_q1, _mp_c2, _mp_m3, _mp_k3)]
+                    for x in map(mpmath.mpf, r)]).T
+    assert np.max(np.abs(q1 - ref[0]) / ref[0]) <= 1.1e-14
+    assert np.max(np.abs(c2 - ref[1]) / ref[1]) <= 1e-14
+    assert np.max(np.abs(m3 - ref[2]) / np.abs(ref[2])) <= 1e-13
+    assert np.max(np.abs(2.0 * q1 - 0.5 * c2 - ref[3])) <= 5e-15
+
+
+_EXTREME_R = [0.0, -0.0, 1e-300, -1e-300, 1e-160, -1e-160,
+              np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0),
+              -np.nextafter(0.25, 0.0), -0.25, -np.nextafter(0.25, 1.0),
+              math.pi, -math.pi, TWO_PI, -TWO_PI]
+
+
+@pytest.mark.parametrize("mode", ["warn", "raise"])
+def test_kernels_are_finite_and_silent_at_extreme_arguments(mode):
+    # The 0/0 at r = 0, the division by an underflowed r^2 at tiny r and
+    # the underflow of r^2 in the series stay inside _kernels (the series
+    # overwrites the closed forms there), even when the caller raises.
+    with np.errstate(all=mode), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels = special._kernels(np.array(_EXTREME_R))
+    for k in kernels:
+        assert np.all(np.isfinite(k))
 
 
 def test_phi_matches_extended_precision():
@@ -148,8 +190,8 @@ def test_invert_phi_inverts_phi_over_the_float_range(a):
     # ... so phi(r) = a to 1e-13 wherever phi is well conditioned; near 2*pi
     # the floats are 8.9e-16 apart and phi(r) can miss a by the condition
     # number |d log phi / d log r| = 2 m3 / (q1 c2) times eps.
-    x = np.array([r])
-    cond = float((2.0 * special._m3(x) / (special._q1(x) * special._c2(x)))[0])
+    q1, c2, m3 = special._kernels(np.array([r]))
+    cond = float((2.0 * m3 / (q1 * c2))[0])
     assert abs(eval_phi(r) - a) <= 1e-13 * max(1.0, cond) * a
 
 
@@ -260,20 +302,16 @@ def test_eval_weights_bit_equal_to_named_functions(n, r):
 
 
 def test_eval_weights_computes_each_kernel_once(monkeypatch):
-    counts = {}
+    calls = []
+    kernels = special._kernels
 
-    def counted(name):
-        kernel = getattr(special, name)
+    def counted(r):
+        calls.append(r.size)
+        return kernels(r)
 
-        def wrapper(r):
-            counts[name] = counts.get(name, 0) + 1
-            return kernel(r)
-        return wrapper
-
-    for name in ("_q1", "_c2", "_m3"):
-        monkeypatch.setattr(special, name, counted(name))
+    monkeypatch.setattr(special, "_kernels", counted)
     eval_weights(np.linspace(-TWO_PI, TWO_PI, 101), n=2)
-    assert counts == {"_q1": 1, "_c2": 1, "_m3": 1}
+    assert calls == [101]
 
 
 def test_eval_weights_does_not_alias_its_input():
@@ -293,7 +331,8 @@ def test_garofalo_identity_naive_form_agrees_where_conditioned():
     rs = np.linspace(0.5, 5.5, 300)
     naive = 2.0 * (rs ** 2 - 2.0 * rs * np.sin(rs) - 2.0 * np.cos(rs) + 2.0) \
         / (rs ** 2 * (1.0 - np.cos(rs)))
-    kernel = 4.0 * special._m4(rs) / special._c2(rs)
+    q1, c2, m3 = special._kernels(rs)
+    kernel = 4.0 * (q1 + m3) / c2
     assert np.max(np.abs(naive - kernel) / naive) < 1e-12
     lhs = (1.0 + w(rs) ** 2) / w(rs) ** 2
     assert np.max(np.abs(lhs - naive) / naive) < 1e-11
@@ -301,24 +340,15 @@ def test_garofalo_identity_naive_form_agrees_where_conditioned():
 
 def test_series_switch_is_seamless():
     # Values just inside and outside the series window agree with mpmath
-    # (series side to ~1 ulp, direct side to the few ulps the 1 - cos r
-    # subtraction costs), so there is no jump at the switch point.
-    for fn, mp_fn in ((special._q1, _mp_q1), (special._c2, _mp_c2),
-                      (special._m3, _mp_m3)):
-        below = float(fn(np.array([0.2499999]))[0])
-        above = float(fn(np.array([0.2500001]))[0])
+    # (series side to ~1 ulp, closed side to the ulps its cancellation
+    # costs), so there is no jump at the switch point.
+    below = special._kernels(np.array([0.2499999]))
+    above = special._kernels(np.array([0.2500001]))
+    for b, a, mp_fn in zip(below, above, (_mp_q1, _mp_c2, _mp_m3)):
         ref_b = float(mp_fn(0.2499999))
         ref_a = float(mp_fn(0.2500001))
-        assert abs(below - ref_b) < 2e-16 * ref_b
-        assert abs(above - ref_a) < 1e-13 * ref_a
-
-
-def _series_or_closed_unguarded(r, coef, closed):
-    small = np.abs(r) < special.SERIES_SWITCH
-    out = np.empty_like(r)
-    out[small] = special._polyval_even(coef, r[small])
-    out[~small] = closed(r[~small])
-    return out
+        assert abs(float(b[0]) - ref_b) < 2e-16 * ref_b
+        assert abs(float(a[0]) - ref_a) < 1e-13 * ref_a
 
 
 _SERIES_R = np.array([0.0, -0.0, 1e-300, -1e-8, 0.1, -0.2499999])
@@ -326,14 +356,13 @@ _CLOSED_R = np.array([0.25, -0.2500001, 1.0, -3.0, 5.5, TWO_PI, -TWO_PI])
 
 
 @pytest.mark.parametrize("r", [_SERIES_R, _CLOSED_R, np.concatenate((_CLOSED_R, _SERIES_R)),
-                               _SERIES_R[4:5], _CLOSED_R[2:3]],
-                         ids=["series", "closed", "mixed", "series-1", "closed-1"])
-def test_skipping_an_empty_branch_is_bit_identical(r, monkeypatch):
-    kernels = (special._q1, special._m3, special._k3)
-    got = [kernel(r) for kernel in kernels]
-    monkeypatch.setattr(special, "_series_or_closed", _series_or_closed_unguarded)
-    for kernel, value in zip(kernels, got):
-        np.testing.assert_array_equal(_bits(value), _bits(kernel(r)))
+                               np.random.default_rng(0).uniform(-TWO_PI, TWO_PI, 257)],
+                         ids=["series", "closed", "mixed", "random-257"])
+def test_kernels_batch_is_bit_equal_to_one_element_calls(r):
+    batch = special._kernels(r)
+    single = [special._kernels(r[i:i + 1]) for i in range(r.size)]
+    for k, value in enumerate(batch):
+        np.testing.assert_array_equal(_bits(value), _bits([s[k][0] for s in single]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
