@@ -5,12 +5,14 @@ Points are (xi, z) in R^(2n) x R with the group law
     (xi, z) * (xi', z') = (xi + xi', z + z' + <xi, J xi'>/2),
 
 where J acts blockwise on the planes (x_i, y_i) as (x, y) -> (y, -x).
-Geodesic polar coordinates (t, varpi, r) -- Carnot distance t >= 0, a unit
-horizontal direction varpi in S^(2n-1), and a vertical angle |r| <= 2*pi --
-parametrize the group through
+Reading each pair as one complex coordinate x_i + i y_i (so H^n = C^n x R),
+J is multiplication by -i and every 2x2 block of the chart below is a
+complex scalar.  Geodesic polar coordinates (t, varpi, r) -- Carnot distance
+t >= 0, a unit horizontal direction varpi in S^(2n-1), and a vertical angle
+|r| <= 2*pi -- parametrize the group through
 
-    Phi(t, varpi, r) = ( (t/r) A(r) varpi_i , t^2 (r - sin r)/(2 r^2) ),
-    A(r) = [[sin r, cos r - 1], [1 - cos r, sin r]]  (blockwise),
+    Phi(t, varpi, r) = ( (t/r) A(r) varpi , t^2 (r - sin r)/(2 r^2) ),
+    A(r) = 2 sin(r/2) e^(i r/2),  so  xi = t sinc(r/2) e^(i r/2) varpi,
 
 with the r -> 0 limits built into the stable kernels of
 :mod:`heisenberg_hardy.special`.  This module provides the coordinate maps
@@ -18,6 +20,7 @@ both ways, the Carnot distance, the Koranyi gauge, the polar Jacobian, and
 the adapted orthonormal horizontal frame.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,7 +42,7 @@ class Point:
     z: float
 
     def __post_init__(self):
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
+        xi = np.ascontiguousarray(self.xi, dtype=float)     # _mul views pairs
         if xi.ndim != 1 or xi.size == 0 or xi.size % 2:
             raise ValueError("Point: xi must be a flat vector of even length")
         object.__setattr__(self, "xi", xi)
@@ -58,7 +61,7 @@ class Polar:
     r: float
 
     def __post_init__(self):
-        varpi = np.atleast_1d(np.asarray(self.varpi, dtype=float))
+        varpi = np.ascontiguousarray(self.varpi, dtype=float)
         if varpi.ndim != 1 or varpi.size == 0 or varpi.size % 2:
             raise ValueError("Polar: varpi must be a flat vector of even length")
         object.__setattr__(self, "varpi", varpi)
@@ -85,7 +88,7 @@ class TangentVec:
     v_z: float
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.v_xi, dtype=float))
+        v = np.ascontiguousarray(self.v_xi, dtype=float)
         if v.shape != self.base.xi.shape:
             raise ValueError("TangentVec: v_xi must match the base dimension")
         object.__setattr__(self, "v_xi", v)
@@ -125,17 +128,19 @@ class Jacobian:
 # Group operations
 # ----------------------------------------------------------------------
 
+def _mul(k, xi):
+    """Multiply each pair x_i + i y_i of the contiguous real vector xi by k."""
+    return (k * xi.view(complex)).view(float)
+
+
 def _J(xi):
-    """Blockwise rotation (x, y) -> (y, -x) on each symplectic pair."""
-    out = np.empty_like(xi)
-    out[0::2] = xi[1::2]
-    out[1::2] = -xi[0::2]
-    return out
+    """Blockwise rotation (x, y) -> (y, -x), i.e. multiplication by -i."""
+    return _mul(-1j, xi)
 
 
 def _symp(xi, eta):
     """Symplectic form <xi, J eta> = sum (x_i eta_y_i - y_i eta_x_i)."""
-    return float(xi @ _J(eta))
+    return float(np.vdot(xi.view(complex), eta.view(complex)).imag)
 
 
 def group_mul(p, q):
@@ -170,39 +175,23 @@ def koranyi_polar(c):
 
 
 # ----------------------------------------------------------------------
-# Block helpers for the matrix A(r)
+# The complex scalars A(r)/r and A'(r) - A(r)/r; A'(r) = e^(i r)
 # ----------------------------------------------------------------------
-
-def _apply_block(m2, xi):
-    """Apply a single 2x2 matrix to every symplectic pair of xi."""
-    pairs = xi.reshape(-1, 2) @ np.asarray(m2).T
-    return pairs.reshape(-1)
-
-def _A(r):
-    sr, h = math.sin(r), 2.0 * math.sin(0.5 * r) ** 2    # h = 1 - cos r
-    return np.array([[sr, -h], [h, sr]])
-
-def _A_prime(r):
-    sr, cr = math.sin(r), math.cos(r)
-    return np.array([[cr, -sr], [sr, cr]])
 
 def _at(r):
     """The kernels q1, c2, m3 at the scalar r, as three floats."""
     return tuple(float(k[0]) for k in _kernels(np.atleast_1d(r)))
 
 def _A_over_r(r, c2r):
-    """A(r)/r from c2(r), removable at r = 0: diag sinc(r), off-diagonal -+ r c2(r)/2."""
-    s = float(np.sinc(r / math.pi))               # sin(r)/r
-    h = 0.5 * r * c2r                             # (1 - cos r)/r
-    return np.array([[s, -h], [h, s]])
+    """A(r)/r = sinc(r) + i (1 - cos r)/r from c2(r), removable at r = 0."""
+    return complex(np.sinc(r / math.pi), 0.5 * r * c2r)
 
 def _A_prime_minus_A_over_r(r, c2r, q1r):
-    """A'(r) - A(r)/r from the kernels c2(r), q1(r): diagonal
-    -r^2 (c2/2 - q1), off-diagonal +-(r (c2/2 - 1) + r^3 q1), which do not
-    cancel near r = 0."""
-    dg = -r * r * (0.5 * c2r - q1r)
-    off = r * (0.5 * c2r - 1.0) + r ** 3 * q1r
-    return np.array([[dg, off], [-off, dg]])
+    """A'(r) - A(r)/r from the kernels c2(r), q1(r) as
+    -r^2 (c2/2 - q1) - i (r (c2/2 - 1) + r^3 q1), which do not cancel near
+    r = 0 as e^(i r) - sinc(r/2) e^(i r/2) does."""
+    return complex(-r * r * (0.5 * c2r - q1r),
+                   -(r * (0.5 * c2r - 1.0) + r ** 3 * q1r))
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +213,7 @@ def from_polar(c):
 
 def _point(t, varpi, r, q1r, c2r):
     """Phi(t, varpi, r) for |r| < 2*pi from the kernels q1(r), c2(r)."""
-    return Point(t * _apply_block(_A_over_r(r, c2r), varpi), 0.5 * t * t * r * q1r)
+    return Point(t * _mul(_A_over_r(r, c2r), varpi), 0.5 * t * t * r * q1r)
 
 
 def to_polar(p):
@@ -256,13 +245,9 @@ def to_polar(p):
         t = math.sqrt(2.0 * abs(p.z) / (rmag * _at(rmag)[0]))
     else:
         t = rmag * nxi / (2.0 * math.sin(0.5 * rmag))
-    # varpi_i = (r/t) A(r)^T xi_i / (2 - 2 cos r) = B xi_i / t: stable
-    # blockwise form, normalized without the 1/t, which can underflow it.
-    half_cot = 0.5 * rmag / math.tan(0.5 * rmag)
-    B = np.array([[half_cot, 0.5 * r], [-0.5 * r, half_cot]])
-    varpi = _apply_block(B, p.xi)
-    varpi = varpi / float(np.linalg.norm(varpi))
-    return Polar(t, varpi, r)
+    # xi = t sinc(r/2) e^(i r/2) varpi with sinc(r/2) > 0, so the direction
+    # of xi rotated back is varpi: no 1/t, which can underflow.
+    return Polar(t, _mul(cmath.exp(-0.5j * r), p.xi / nxi), r)
 
 
 def cc_distance(p):
@@ -314,22 +299,20 @@ def jacobian(c):
     n = c.n
     dim = 2 * n + 1
     varpi = c.varpi
-    A = _A(r)
     q1r, c2r, _ = _at(r)
     Aor = _A_over_r(r, c2r)
 
     cols = np.empty((dim, dim))
     # d/dt column
-    cols[:-1, 0] = _apply_block(Aor, varpi)
+    cols[:-1, 0] = _mul(Aor, varpi)
     cols[-1, 0] = t * r * q1r
     # sphere columns
     tangent = _complete_basis([varpi], 2 * n)
     for j, th in enumerate(tangent):
-        cols[:-1, 1 + j] = (t / r) * _apply_block(A, th)
+        cols[:-1, 1 + j] = _mul(t * Aor, th)
         cols[-1, 1 + j] = 0.0
     # d/dr column
-    cols[:-1, -1] = (t / r) * _apply_block(
-        _A_prime_minus_A_over_r(r, c2r, q1r), varpi)
+    cols[:-1, -1] = (t / r) * _mul(_A_prime_minus_A_over_r(r, c2r, q1r), varpi)
     cols[-1, -1] = -0.5 * t * t * (2.0 * q1r - 0.5 * c2r)     # k3 = 2 q1 - c2/2
 
     det = float(np.linalg.det(cols))
@@ -352,7 +335,7 @@ def grad_delta(p):
     if float(np.linalg.norm(p.xi)) == 0.0:
         raise ValueError("grad_delta: undefined on the center xi = 0")
     c = to_polar(p)
-    v_xi = _apply_block(_A_prime(c.r), c.varpi)
+    v_xi = _mul(cmath.exp(1j * c.r), c.varpi)
     v_z = 0.25 * c.t * c.r * _at(c.r)[1]
     return TangentVec(base=p, v_xi=v_xi, v_z=v_z)
 
@@ -381,24 +364,23 @@ def frame(c):
     varpi = c.varpi
     q1r, c2r, m3r = _at(r)
     point = _point(t, varpi, r, q1r, c2r)
-    A = _A(r)
-    Ap = _A_prime(r)
+    Aor = _A_over_r(r, c2r)
     Jvarpi = _J(varpi)
     rwr = c2r / (2.0 * m3r)                  # r w(r)
     vv = q1r / (m3r * r)
     ww = c2r / (2.0 * m3r * r)
     root = 2.0 * abs(math.sin(0.5 * r))      # sqrt(2 - 2 cos r)
 
-    # pushforwards
-    v1 = TangentVec(base=point, v_xi=_apply_block(Ap, varpi), v_z=0.25 * t * r * c2r)
-    xi2 = (vv * _apply_block(A, Jvarpi)
-           + ww * _apply_block(_A_prime_minus_A_over_r(r, c2r, q1r), varpi))
+    # pushforwards; Xi = (v A J + w (A' - A/r)) varpi, where v A J = -i (q1/m3) A/r
+    v1 = TangentVec(base=point, v_xi=_mul(cmath.exp(1j * r), varpi), v_z=0.25 * t * r * c2r)
+    xi2 = _mul(-1j * (q1r / m3r) * Aor + ww * _A_prime_minus_A_over_r(r, c2r, q1r), varpi)
     v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * rwr * (2.0 * q1r - 0.5 * c2r))
     vecs = [v1, v2]
     wdirs = _complete_basis([varpi, Jvarpi], 2 * n)
-    sgn = math.copysign(1.0, r)
+    # A W / |A| = e^(i r/2) W, as sin(r/2) has the sign of r on 0 < |r| < 2 pi
+    rot = cmath.exp(0.5j * r)
     for wd in wdirs:
-        vecs.append(TangentVec(base=point, v_xi=sgn * _apply_block(A, wd) / root, v_z=0.0))
+        vecs.append(TangentVec(base=point, v_xi=_mul(rot, wd), v_z=0.0))
 
     # polar components, rows (t, varpi-block, r)
     forms = np.zeros((2 * n, 2 * n + 2))

@@ -255,24 +255,22 @@ class EigResult:
 _COARSE_TOL = 1e-3
 
 
-def _bisect(d, e, tol, lo=None, hi=None, factors=None):
+def _bisect(d, e, tol, lo, hi=None, factors=None):
     """Bisection for the smallest eigenvalue of the symmetric tridiagonal T
     with diagonal ``d`` and off-diagonal ``e``: Barth, Martin & Wilkinson's
     Sturm bisection, asking only whether T - lambda I is not positive
     definite.  LAPACK ``dpttrf`` factors it as L D L^T and stops at the
     first pivot <= 0, so a zero pivot moves ``hi``.  Starts from (lo, hi),
-    by default the Gershgorin bound (at most 0) and min(d); stops once
-    hi - lo <= tol * max(1, |lo|, |hi|).  Returns (lo, hi, factors), the
-    ``dpttrf`` factors of T - lo I following ``lo`` to each definite midpoint.
+    where ``lo`` bounds the eigenvalue from below and ``hi`` defaults to
+    min(d); stops once hi - lo <= tol * max(1, |lo|, |hi|).  Returns
+    (lo, hi, factors), the ``dpttrf`` factors of T - lo I following ``lo``
+    to each definite midpoint.
     """
     from scipy.linalg.lapack import dpttrf
 
     if hi is None:
         hi = float(np.min(d))
         hi += 1e-12 * max(1.0, abs(hi))
-    if lo is None:
-        lo = float(np.min(d - np.abs(np.concatenate(([0.0], e))) - np.abs(np.concatenate((e, [0.0])))))
-        lo = min(lo, 0.0)
     while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         df, ef, info = dpttrf(d - mid, e)

@@ -5,6 +5,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from heisenberg_hardy import geometry, special
 from heisenberg_hardy.geometry import (
@@ -212,6 +215,79 @@ def test_round_trip_near_the_plane(z):
     back = from_polar(to_polar(p))
     assert abs(back.z - z) <= 1e-12 * abs(z)
     assert np.max(np.abs(back.xi - p.xi)) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# The complex form against the real 2x2 blocks
+# ----------------------------------------------------------------------
+
+def _blockwise(m2, x):
+    """Apply the real 2x2 matrix m2 to every pair (x_i, y_i) of x."""
+    return (x.reshape(-1, 2) @ m2.T).reshape(-1)
+
+
+def _A_matrix(r):
+    return np.array([[math.sin(r), math.cos(r) - 1.0], [1.0 - math.cos(r), math.sin(r)]])
+
+
+@st.composite
+def _polars(draw):
+    """Polar triples with n = 1..3, t in [0.05, 20], 0.5 <= |r| <= 2*pi - 0.5."""
+    n = draw(st.integers(1, 3))
+    varpi = draw(hnp.arrays(np.float64, 2 * n, elements=st.floats(-1.0, 1.0)))
+    nrm = float(np.linalg.norm(varpi))
+    assume(nrm > 1e-3)
+    r = draw(st.floats(0.5, TWO_PI - 0.5)) * draw(st.sampled_from([1.0, -1.0]))
+    return Polar(t=draw(st.floats(0.05, 20.0)), varpi=varpi / nrm, r=r)
+
+
+@settings(deadline=None, max_examples=200)
+@given(c=_polars())
+def test_from_polar_matches_the_real_block_form(c):
+    # xi = (t/r) A(r) varpi with A(r) = [[sin r, cos r - 1], [1 - cos r, sin r]]
+    ref = (c.t / c.r) * _blockwise(_A_matrix(c.r), c.varpi)
+    assert np.max(np.abs(from_polar(c).xi - ref)) <= 1e-14 * c.t
+
+
+@settings(deadline=None, max_examples=200)
+@given(c=_polars())
+def test_to_polar_matches_the_real_block_form(c):
+    # varpi is B xi normalized, B = [[r cot(r/2)/2, r/2], [-r/2, r cot(r/2)/2]]
+    p = from_polar(c)
+    back = to_polar(p)
+    half_cot = 0.5 * back.r / math.tan(0.5 * back.r)
+    ref = _blockwise(np.array([[half_cot, 0.5 * back.r], [-0.5 * back.r, half_cot]]), p.xi)
+    assert np.max(np.abs(back.varpi - ref / np.linalg.norm(ref))) <= 1e-14
+
+
+_PAIRS = st.integers(1, 4).flatmap(lambda n: st.tuples(*(
+    hnp.arrays(np.float64, 2 * n, elements=st.floats(-1e150, 1e150)) for _ in range(2))))
+
+
+@settings(deadline=None)
+@given(pair=_PAIRS)
+def test_J_squares_to_minus_one_and_the_symplectic_form_is_antisymmetric(pair):
+    a, b = pair
+    assert np.array_equal(geometry._J(geometry._J(a)), -a)
+    scale = float(np.abs(a) @ np.abs(b[np.arange(a.size) ^ 1]))     # sum |x_i b_y_i| + |y_i b_x_i|
+    assert abs(geometry._symp(a, b) + geometry._symp(b, a)) <= 4e-16 * scale
+
+
+def test_strided_input_goes_through_the_chart():
+    # Pairs are read as complex numbers through a view, which needs a
+    # contiguous last axis; the types must store contiguous copies.
+    p = Point(np.arange(8.0)[::2], 1.0)
+    c = Polar(t=1.3, varpi=np.array([0.6, 9.0, 0.0, 9.0, 0.0, 9.0, 0.8, 9.0])[::2], r=2.0)
+    pc = Point(np.arange(0.0, 8.0, 2.0), 1.0)
+    cc = Polar(t=1.3, varpi=np.array([0.6, 0.0, 0.0, 0.8]), r=2.0)
+    assert np.array_equal(to_polar(p).varpi, to_polar(pc).varpi)
+    assert np.array_equal(from_polar(c).xi, from_polar(cc).xi)
+    assert np.array_equal(jacobian(c).matrix, jacobian(cc).matrix)
+    for got, ref in zip(frame(c).vectors, frame(cc).vectors):
+        assert np.array_equal(got.v_xi, ref.v_xi) and got.v_z == ref.v_z
+    assert group_mul(p, p).z == group_mul(pc, pc).z
+    vec = TangentVec(base=p, v_xi=np.arange(16.0)[::4], v_z=0.5)
+    assert is_horizontal(vec) == is_horizontal(TangentVec(base=pc, v_xi=np.arange(0.0, 16.0, 4.0), v_z=0.5))
 
 
 # ----------------------------------------------------------------------

@@ -325,7 +325,7 @@ def test_sl_bracket_zero_pivot_moves_hi():
     d, e = lam + lap, -np.ones(31)
     assert np.array_equal(d - lam, lap)
     assert dpttrf(d - lam, e)[2] == 32
-    lo, hi = numerics._bisect(d, e, 1e-10)[:2]
+    lo, hi = numerics._bisect(d, e, 1e-10, 0.0)[:2]
     assert hi == lam
     assert lo < lam
 
