@@ -71,7 +71,7 @@ class Polar:
             raise ValueError("Polar: t must be non-negative")
         if abs(self.r) > TWO_PI:
             raise ValueError("Polar: |r| must not exceed 2*pi")
-        nrm = float(np.linalg.norm(varpi))
+        nrm = math.hypot(*varpi)
         if self.t > 0.0 and abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"Polar: varpi must be unit (|varpi| = {nrm!r})")
 
@@ -164,9 +164,17 @@ def dilate(lam, p):
 
 
 def koranyi(p):
-    """Koranyi gauge N(p) = (|xi|^4 + 16 z^2)^(1/4)."""
-    s = float(p.xi @ p.xi)
-    return math.sqrt(math.hypot(s, 4.0 * p.z))
+    """Koranyi gauge N(p) = (|xi|^4 + 16 z^2)^(1/4).
+
+    Evaluated on the point dilated by 1/lam, lam = max(|xi|, sqrt|z|), so
+    neither |xi|^2 nor lam^2 overflows or underflows.
+    """
+    nxi = math.hypot(*p.xi)
+    lam = max(nxi, math.sqrt(abs(p.z)))
+    if lam == 0.0:
+        return 0.0
+    x = nxi / lam
+    return lam * math.sqrt(math.hypot(x * x, 4.0 * (p.z / lam) / lam))
 
 
 def koranyi_polar(c):
@@ -213,7 +221,7 @@ def from_polar(c):
 
 def _point(t, varpi, r, q1r, c2r):
     """Phi(t, varpi, r) for |r| < 2*pi from the kernels q1(r), c2(r)."""
-    return Point(t * _mul(_A_over_r(r, c2r), varpi), 0.5 * t * t * r * q1r)
+    return Point(t * _mul(_A_over_r(r, c2r), varpi), 0.5 * t * (t * r * q1r))
 
 
 def to_polar(p):
@@ -223,18 +231,17 @@ def to_polar(p):
     varpi is reported as the first coordinate direction.  The zero point
     maps to t = 0.
     """
-    nxi = float(np.linalg.norm(p.xi))
-    dim = p.xi.size
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
+    nxi = math.hypot(*p.xi)         # no overflow of |xi|^2
     if nxi == 0.0:
+        e1 = np.zeros(p.xi.size)
+        e1[0] = 1.0
         if p.z == 0.0:
             return Polar(0.0, e1, 0.0)
         return Polar(math.sqrt(4.0 * math.pi * abs(p.z)), e1, math.copysign(TWO_PI, p.z))
     if p.z == 0.0:
         return Polar(nxi, p.xi / nxi, 0.0)
 
-    a = nxi * nxi / abs(p.z)
+    a = nxi * (nxi / abs(p.z))
     if math.isinf(a):
         return Polar(nxi, p.xi / nxi, 0.0)
     rmag = special.invert_phi(a)
@@ -259,28 +266,26 @@ def cc_distance(p):
 # Jacobian of the polar map
 # ----------------------------------------------------------------------
 
-def _complete_basis(seeds, dim, pivot_tol=1e-6):
-    """Extend orthonormal ``seeds`` to an orthonormal basis of R^dim.
+def _complement(varpi):
+    """Real orthonormal basis of the complement of span(varpi, J varpi) in R^(2n).
 
-    Deterministic modified Gram-Schmidt over the coordinate vectors, with
-    re-orthogonalization; candidates with residual below ``pivot_tol`` are
-    skipped, so the output does not depend on near-degenerate pivots.
+    Read varpi as a unit vector u in C^n.  The Householder reflector
+    H = 1 - 2 v v^*/|v|^2 with v = u + e^(i arg u_1) e_1 maps u to a
+    multiple of e_1, so its columns w_k = H e_k, k >= 2, are orthonormal
+    and orthogonal to u over C; with J w_k = -i w_k they are the 2n - 2
+    real rows returned, ordered w_2, J w_2, w_3, ...
     """
-    basis = [np.asarray(s, dtype=float) for s in seeds]
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        u = np.zeros(dim)
-        u[i] = 1.0
-        for _ in range(2):
-            for bvec in basis:
-                u = u - (u @ bvec) * bvec
-        nrm = float(np.linalg.norm(u))
-        if nrm > pivot_tol:
-            basis.append(u / nrm)
-    if len(basis) != dim:
-        raise RuntimeError("_complete_basis: failed to complete the basis")
-    return basis[len(seeds):]
+    u = varpi.view(complex)
+    n = u.size
+    v = u.copy()
+    v[0] += u[0] / abs(u[0]) if u[0] else 1.0
+    out = np.empty((n - 1, 2, n), dtype=complex)
+    w, jw = out[:, 0], out[:, 1]
+    np.multiply(v[1:, None].conj(), v, out=w)
+    w *= -2.0 / np.vdot(v, v).real
+    w[:, 1:] += np.eye(n - 1)
+    np.multiply(w, -1j, out=jw)
+    return out.reshape(-1, n).view(float)
 
 
 def jacobian(c):
@@ -306,11 +311,10 @@ def jacobian(c):
     # d/dt column
     cols[:-1, 0] = _mul(Aor, varpi)
     cols[-1, 0] = t * r * q1r
-    # sphere columns
-    tangent = _complete_basis([varpi], 2 * n)
-    for j, th in enumerate(tangent):
-        cols[:-1, 1 + j] = _mul(t * Aor, th)
-        cols[-1, 1 + j] = 0.0
+    # sphere columns, along J varpi and the complement of (varpi, J varpi)
+    tangent = np.vstack((_J(varpi), _complement(varpi)))
+    cols[:-1, 1:-1] = _mul(t * Aor, tangent).T
+    cols[-1, 1:-1] = 0.0
     # d/dr column
     cols[:-1, -1] = (t / r) * _mul(_A_prime_minus_A_over_r(r, c2r, q1r), varpi)
     cols[-1, -1] = -0.5 * t * t * (2.0 * q1r - 0.5 * c2r)     # k3 = 2 q1 - c2/2
@@ -332,7 +336,7 @@ def grad_delta(p):
     In polar coordinates grad(delta) = (A'(r) varpi, t r c2(r)/4); it is a
     unit horizontal vector, so the eikonal equation |grad delta| = 1 holds.
     """
-    if float(np.linalg.norm(p.xi)) == 0.0:
+    if not p.xi.any():
         raise ValueError("grad_delta: undefined on the center xi = 0")
     c = to_polar(p)
     v_xi = _mul(cmath.exp(1j * c.r), c.varpi)
@@ -375,12 +379,10 @@ def frame(c):
     v1 = TangentVec(base=point, v_xi=_mul(cmath.exp(1j * r), varpi), v_z=0.25 * t * r * c2r)
     xi2 = _mul(-1j * (q1r / m3r) * Aor + ww * _A_prime_minus_A_over_r(r, c2r, q1r), varpi)
     v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * rwr * (2.0 * q1r - 0.5 * c2r))
-    vecs = [v1, v2]
-    wdirs = _complete_basis([varpi, Jvarpi], 2 * n)
+    wdirs = _complement(varpi)
     # A W / |A| = e^(i r/2) W, as sin(r/2) has the sign of r on 0 < |r| < 2 pi
-    rot = cmath.exp(0.5j * r)
-    for wd in wdirs:
-        vecs.append(TangentVec(base=point, v_xi=_mul(rot, wd), v_z=0.0))
+    vecs = [v1, v2] + [TangentVec(base=point, v_xi=vj, v_z=0.0)
+                       for vj in _mul(cmath.exp(0.5j * r), wdirs)]
 
     # polar components, rows (t, varpi-block, r)
     forms = np.zeros((2 * n, 2 * n + 2))
@@ -388,8 +390,7 @@ def frame(c):
     forms[0, -1] = r / t
     forms[1, 1:-1] = (r / t) * vv * Jvarpi
     forms[1, -1] = (r / t) * ww
-    for j, wd in enumerate(wdirs):
-        forms[2 + j, 1:-1] = abs(r) / (t * root) * wd
+    forms[2:, 1:-1] = abs(r) / (t * root) * wdirs
 
     t_field = TangentVec(base=point, v_xi=v1.v_xi - v2.v_xi / ww,
                          v_z=v1.v_z - v2.v_z / ww)

@@ -78,12 +78,16 @@ def _kernels(r):
     the last from 2 - 2 cos r - r sin r = r^2 (c2 - sin(r)/r).  Where
     |r| < SERIES_SWITCH one Horner pass over both series overwrites q1 and
     m3 (the closed forms give nan at r = 0 and x = r^2 underflows at tiny
-    r, hence the ignored errors).  Each value depends only on its own r,
-    so a batch is bit-equal to one-element calls.
+    r, hence the ignored errors); when every |r| is below the switch the
+    closed forms are skipped.  Each value depends only on its own r, so a
+    batch is bit-equal to one-element calls.
     """
     c2 = _c2(r)
     a = np.abs(r)
     with np.errstate(all="ignore"):
+        if a.max(initial=0.0) < SERIES_SWITCH:
+            q1, m3 = _series(a ** 2)
+            return q1, c2, m3
         s = np.sin(a)
         q1 = a - s
         q1 /= a ** 3
@@ -92,12 +96,16 @@ def _kernels(r):
         m3 /= a * a
         small = a < SERIES_SWITCH
         if small.any():
-            x = a[small] ** 2
-            series = _SERIES_COEF[0]
-            for coef in _SERIES_COEF[1:]:
-                series = series * x + coef
-            q1[small], m3[small] = series
+            q1[small], m3[small] = _series(a[small] ** 2)
     return q1, c2, m3
+
+
+def _series(x):
+    """The series of (q1, m3) at x = r^2, as two rows from one Horner pass."""
+    series = _SERIES_COEF[0]
+    for coef in _SERIES_COEF[1:]:
+        series = series * x + coef
+    return series
 
 
 def eval_phi(r):
@@ -131,14 +139,82 @@ def eval_phi(r):
 _PHI_ASYMPTOTE_SWITCH = 8.0
 
 
+def _asymptotic_start(a):
+    """The asymptotic inverses r = 12/a and r = 2*pi - sqrt(pi a) of phi."""
+    return np.where(a > _PHI_ASYMPTOTE_SWITCH,
+                    12.0 / np.maximum(a, _PHI_ASYMPTOTE_SWITCH),
+                    TWO_PI - np.sqrt(math.pi * np.minimum(a, _PHI_ASYMPTOTE_SWITCH)))
+
+
+def _phi_newton(r, a):
+    """Newton on log phi - log a from the starts r; the roots of phi = a."""
+    out = np.empty_like(r)
+    idx = np.arange(r.size)
+    last = np.full_like(r, np.inf)
+    rtol = 4.0 * np.finfo(float).eps
+    # Terminates: every element still iterating has a strictly smaller step.
+    while idx.size:
+        q1, c2, m3 = _kernels(r)
+        rq1 = r * q1
+        new = np.minimum(np.maximum(r + np.log(2.0 * c2 / rq1 / a) * (rq1 * c2) / (2.0 * m3),
+                                    0.5 * r), 0.5 * (r + TWO_PI))
+        step = np.abs(new - r)
+        out[idx] = new
+        keep = (step > rtol * r) & (step < last)
+        idx, a, r, last = idx[keep], a[keep], new[keep], step[keep]
+    return out
+
+
+# Newton starts for a in [1e-9, e^35 1e-9 ~ 1.6e6): the logit
+# G = log(r/(2*pi - r)) of the root against y = log a, one polynomial of
+# degree 8 per unit interval of y, interpolated at import at 9 Chebyshev
+# nodes per piece from roots that Newton finds from the asymptotes.  G is
+# linear in y at both ends (slopes -1 and -1/2), so r = 2*pi/(1 + e^-G)
+# and 2*pi - r are both accurate: the start is within 3e-9 of the root in
+# G, and Newton stops after one or two steps.
+_PHI_TABLE_START = 1e-9
+_PHI_TABLE_PIECES = 35
+_PHI_TABLE_Y0 = math.log(_PHI_TABLE_START)
+_PHI_TABLE_END = math.exp(_PHI_TABLE_Y0 + _PHI_TABLE_PIECES)
+
+
+def _phi_logit_table():
+    """Horner coefficients of G, shape (9, pieces), highest power first."""
+    nodes = np.cos((np.arange(9) + 0.5) * math.pi / 9)
+    a = np.exp(_PHI_TABLE_Y0 + np.arange(_PHI_TABLE_PIECES)[:, None] + 0.5 * (nodes + 1.0))
+    r = _phi_newton(_asymptotic_start(a.ravel()), a.ravel())
+    logit = np.log(r / (TWO_PI - r)).reshape(a.shape)
+    return np.linalg.solve(nodes[:, None] ** np.arange(8, -1, -1), logit.T)
+
+
+_PHI_LOGIT = _phi_logit_table()
+
+
+def _newton_start(a):
+    """The tabulated logit start inside the table, the asymptotes outside."""
+    y = np.minimum(np.maximum(np.log(a) - _PHI_TABLE_Y0, 0.0), _PHI_TABLE_PIECES)
+    piece = np.minimum(y, _PHI_TABLE_PIECES - 1).astype(np.intp)
+    u = 2.0 * (y - piece) - 1.0
+    coef = _PHI_LOGIT[:, piece]
+    logit = coef[0]
+    for c in coef[1:]:
+        logit = logit * u + c
+    return np.where((a >= _PHI_TABLE_START) & (a < _PHI_TABLE_END),
+                    TWO_PI / (1.0 + np.exp(-logit)), _asymptotic_start(a))
+
+
 def invert_phi(a):
     """Solve phi(r) = a for r in (0, 2*pi], given a in [0, inf].
 
     Accepts scalars or arrays.  a = 0 gives 2*pi and a = inf gives 0.
     Elsewhere Newton's method on log phi(r) - log a runs over the whole
-    array, started from the asymptotic inverses r = 12/a (phi ~ 12/r at
-    r -> 0) and r = 2*pi - sqrt(pi a) (phi ~ (2*pi - r)^2/pi at 2*pi).
-    Each iteration makes one ``_kernels`` call for q1, c2 and m3:
+    array.  For a in [1e-9, 1.6e6] it starts from a table of the logit
+    log(r/(2*pi - r)) of the root against log a (piecewise polynomials
+    built at import, within 3e-9 of the root's logit), beyond it from the
+    asymptotic inverses r = 12/a (phi ~ 12/r at r -> 0) and
+    r = 2*pi - sqrt(pi a) (phi ~ (2*pi - r)^2/pi at 2*pi), which are
+    within 1.3e-10 there.  Each iteration makes one ``_kernels`` call for
+    q1, c2 and m3:
 
         log phi = log(2 c2 / (r q1)),   d log phi / dr = -2 m3 / (r q1 c2),
 
@@ -147,9 +223,11 @@ def invert_phi(a):
     Steps are clipped inside (0, 2*pi).  An element stops when its step is
     at most 4 eps |r| -- a relative test, so r ~ 12/a holds up to the
     largest float -- or is no smaller than its previous step, which happens
-    only at the rounding level of log phi.  r is as accurate as the kernels
-    allow: a few ulps, and up to ~50 ulps just above the series switch of
-    q1 (r ~ 0.26).
+    only at the rounding level of log phi.  A solve takes one or two
+    ``_kernels`` calls (1.6 on average over a in [1e-6, 1e4]), more where
+    the rounding of q1 keeps the last step above 4 eps |r| (roots in
+    [0.25, 1]).  r is as accurate as the kernels allow: a few ulps, and up
+    to ~50 ulps just above the series switch of q1 (r ~ 0.26).
 
     Raises
     ------
@@ -163,21 +241,7 @@ def invert_phi(a):
     out = np.where(flat == 0.0, TWO_PI, 0.0)
     idx = np.flatnonzero((flat > 0.0) & (flat < np.inf))
     aa = flat[idx]
-    r = np.where(aa > _PHI_ASYMPTOTE_SWITCH,
-                 12.0 / np.maximum(aa, _PHI_ASYMPTOTE_SWITCH),
-                 TWO_PI - np.sqrt(math.pi * np.minimum(aa, _PHI_ASYMPTOTE_SWITCH)))
-    last = np.full_like(r, np.inf)
-    rtol = 4.0 * np.finfo(float).eps
-    # Terminates: every element still iterating has a strictly smaller step.
-    while idx.size:
-        q1, c2, m3 = _kernels(r)
-        rq1 = r * q1
-        new = np.clip(r + np.log(2.0 * c2 / rq1 / aa) * (rq1 * c2) / (2.0 * m3),
-                      0.5 * r, 0.5 * (r + TWO_PI))
-        step = np.abs(new - r)
-        out[idx] = new
-        keep = (step > rtol * r) & (step < last)
-        idx, aa, r, last = idx[keep], aa[keep], new[keep], step[keep]
+    out[idx] = _phi_newton(_newton_start(aa), aa)
     return _join(out.reshape(arr.shape), scalar)
 
 

@@ -217,6 +217,22 @@ def test_round_trip_near_the_plane(z):
     assert np.max(np.abs(back.xi - p.xi)) <= 1e-12
 
 
+@pytest.mark.parametrize("xi, z, lam", [(1e160, 1e300, 1e150), (1e-160, 1e-300, 1e-150)],
+                         ids=["xi-squared-overflows", "xi-squared-subnormal"])
+def test_chart_is_covariant_at_extreme_scales(xi, z, lam):
+    # The dilations by lam of (1e10, 1), near the plane, and (1e-10, 1),
+    # near the center.  |xi|^2 = 1e320 overflows and 1e-320 is subnormal,
+    # so neither the chart nor the gauge may form it.
+    p = Point(np.array([xi, 0.0]), z)
+    base = Point(np.array([xi / lam, 0.0]), 1.0)
+    for fn in (cc_distance, koranyi):
+        ref = lam * fn(base)
+        assert abs(fn(p) - ref) <= 1e-13 * ref, fn.__name__
+    back = from_polar(to_polar(p))
+    assert abs(back.z - z) <= 1e-13 * z
+    assert abs(np.linalg.norm(grad_delta(p).v_xi) - 1.0) <= 1e-14
+
+
 # ----------------------------------------------------------------------
 # The complex form against the real 2x2 blocks
 # ----------------------------------------------------------------------
@@ -390,6 +406,25 @@ def test_frame_orthonormal_at_chart_edges(c):
     det = jacobian(c).det
     ref = c.t ** (2 * c.n + 1) * special.mu(c.r, c.n)
     assert abs(det - ref) < 1e-9 * ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complement_completes_an_orthonormal_basis(n):
+    rng = np.random.default_rng(70 + n)
+    e1 = _unit(n)
+    cases = [rng.normal(size=2 * n) for _ in range(5)] + [e1, -e1, np.roll(e1, 1)]   # i e1
+    if n > 1:
+        cases.append(np.concatenate(([0.0, 0.0], rng.normal(size=2 * n - 2))))
+    for varpi in cases:
+        varpi = varpi / np.linalg.norm(varpi)
+        comp = geometry._complement(varpi)
+        assert comp.shape == (2 * n - 2, 2 * n)
+        basis = np.vstack((varpi, geometry._J(varpi), comp))
+        assert np.max(np.abs(basis @ basis.T - np.eye(2 * n))) <= 1e-15
+        c = Polar(t=1.3, varpi=varpi, r=2.0)
+        det = jacobian(c).det
+        ref = c.t ** (2 * n + 1) * special.mu(c.r, n)
+        assert det > 0.0 and abs(det - ref) < 1e-10 * ref
 
 
 def test_frame_and_jacobian_evaluate_each_kernel_once(monkeypatch):

@@ -202,8 +202,29 @@ def test_invert_phi_is_antitone(a, b):
     assert invert_phi(hi) <= invert_phi(lo)
 
 
+# The seams of invert_phi's table of Newton starts, 1e-9 e^k, and values
+# within 1e-9 relative of them: the start comes from a different piece on
+# each side.
+_TABLE_SEAMS = [math.exp(special._PHI_TABLE_Y0 + k)
+                for k in range(special._PHI_TABLE_PIECES + 1)]
+_NEAR_SEAMS = sorted(seam * (1.0 + d) for seam in _TABLE_SEAMS
+                     for d in (-1e-9, -1e-10, -1e-11, 0.0, 1e-11, 1e-10, 1e-9))
+
+
+def test_invert_phi_is_accurate_and_antitone_across_the_table_seams():
+    a = np.array(_NEAR_SEAMS)
+    r = invert_phi(a)
+    # Neighbours are 1e-11 relative apart or more, so their roots differ by
+    # far more than the ~1e-14 rounding of a root, or (near 2*pi, where
+    # floats are 8.9e-16 apart) round to the same float.
+    assert np.all(np.diff(r) <= 0.0)
+    for x, rx in zip(a, r):
+        assert abs(rx - float(_mp_invert_phi(x))) <= 2e-14 * rx
+
+
 @settings(deadline=None)
-@given(a=st.lists(st.one_of(_LOG_UNIFORM_A, st.sampled_from([0.0, math.inf, 1e-300, 1e300])),
+@given(a=st.lists(st.one_of(_LOG_UNIFORM_A,
+                            st.sampled_from([0.0, math.inf, 1e-300, 1e300] + _NEAR_SEAMS)),
                   max_size=30))
 def test_invert_phi_array_is_bit_equal_to_scalar_calls(a):
     got = invert_phi(np.array(a, dtype=float))
@@ -312,6 +333,24 @@ def test_eval_weights_computes_each_kernel_once(monkeypatch):
     monkeypatch.setattr(special, "_kernels", counted)
     eval_weights(np.linspace(-TWO_PI, TWO_PI, 101), n=2)
     assert calls == [101]
+
+
+def test_invert_phi_takes_about_two_kernel_calls(monkeypatch):
+    # Started from the tabulated logit, Newton's first step lands within
+    # rounding of the root and the second confirms it; from the asymptotes
+    # 12/a and 2*pi - sqrt(pi a) a solve took 3.5 calls on average.
+    calls = []
+    kernels = special._kernels
+
+    def counted(r):
+        calls.append(r.size)
+        return kernels(r)
+
+    monkeypatch.setattr(special, "_kernels", counted)
+    a = np.exp(np.random.default_rng(11).uniform(math.log(1e-6), math.log(1e4), 400))
+    for x in a:
+        invert_phi(float(x))
+    assert len(calls) <= 2 * a.size
 
 
 def test_eval_weights_does_not_alias_its_input():
