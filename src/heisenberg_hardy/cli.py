@@ -294,7 +294,7 @@ def _fd_jacobian_det(c, h=1e-5):
     """Finite-difference determinant of Phi at c, same tangent basis layout."""
     n = c.n
     dim = 2 * n + 1
-    tangent = np.vstack((geometry._J(c.varpi), geometry._complement(c.varpi)))
+    tangent = geometry._sphere_basis(c.varpi)
 
     def embed(t, varpi, r):
         pt = geometry.from_polar(geometry.Polar(t, varpi / np.linalg.norm(varpi), r))

@@ -288,6 +288,15 @@ def _complement(varpi):
     return out.reshape(-1, n).view(float)
 
 
+def _sphere_basis(varpi):
+    """Orthonormal basis of the tangent space of the sphere at varpi, as rows.
+
+    J varpi first, then the complement of span(varpi, J varpi); the layout
+    of the sphere columns of ``jacobian``.
+    """
+    return np.vstack((_J(varpi), _complement(varpi)))
+
+
 def jacobian(c):
     """Differential of Phi at (t, varpi, r) and its determinant.
 
@@ -312,8 +321,7 @@ def jacobian(c):
     cols[:-1, 0] = _mul(Aor, varpi)
     cols[-1, 0] = t * r * q1r
     # sphere columns, along J varpi and the complement of (varpi, J varpi)
-    tangent = np.vstack((_J(varpi), _complement(varpi)))
-    cols[:-1, 1:-1] = _mul(t * Aor, tangent).T
+    cols[:-1, 1:-1] = _mul(t * Aor, _sphere_basis(varpi)).T
     cols[-1, 1:-1] = 0.0
     # d/dr column
     cols[:-1, -1] = (t / r) * _mul(_A_prime_minus_A_over_r(r, c2r, q1r), varpi)

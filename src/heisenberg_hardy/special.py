@@ -101,11 +101,16 @@ def _kernels(r):
 
 
 def _series(x):
-    """The series of (q1, m3) at x = r^2, as two rows from one Horner pass."""
+    """The series of (q1, m3) at x = r^2, shape (2,) + x.shape, from one Horner pass.
+
+    The coefficient rows have shape (2, 1), so the pass runs on x flattened;
+    an x of shape (2, N) would otherwise broadcast row-by-row.
+    """
+    flat = x.reshape(-1)
     series = _SERIES_COEF[0]
     for coef in _SERIES_COEF[1:]:
-        series = series * x + coef
-    return series
+        series = series * flat + coef
+    return series.reshape((2,) + x.shape)
 
 
 def eval_phi(r):

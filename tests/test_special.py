@@ -404,6 +404,25 @@ def test_kernels_batch_is_bit_equal_to_one_element_calls(r):
         np.testing.assert_array_equal(_bits(value), _bits([s[k][0] for s in single]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 1, 3)])
+@pytest.mark.parametrize("r", [np.array([0.0, 1e-300, -1e-8, 0.1, -0.2, 0.2499999]),
+                               np.array([0.0, 0.1, -0.2499999, 0.25, -3.0, TWO_PI])],
+                         ids=["series", "mixed"])
+def test_kernels_and_eval_weights_on_nd_arrays_match_flattened(r, shape):
+    # A (2, N) array of series values once broadcast the two series rows
+    # against its own two rows and returned wrong values without an error.
+    nd = r.reshape(shape)
+    for got, ref in zip(special._kernels(nd), special._kernels(r)):
+        assert got.shape == shape
+        np.testing.assert_array_equal(_bits(got.reshape(-1)), _bits(ref))
+    with np.errstate(divide="ignore"):
+        got, ref = eval_weights(nd, n=2), eval_weights(r, n=2)
+    for name in ("phi", "mu", "v", "w", "gamma", "eta"):
+        value = getattr(got, name)
+        assert value.shape == shape
+        np.testing.assert_array_equal(_bits(value.reshape(-1)), _bits(getattr(ref, name)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_check_identities_passes(n):
     rep = check_identities(n=n, grid_size=4000)
