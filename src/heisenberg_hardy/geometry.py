@@ -191,8 +191,9 @@ def _at(r):
     return tuple(float(k[0]) for k in _kernels(np.atleast_1d(r)))
 
 def _A_over_r(r, c2r):
-    """A(r)/r = sinc(r) + i (1 - cos r)/r from c2(r), removable at r = 0."""
-    return complex(np.sinc(r / math.pi), 0.5 * r * c2r)
+    """A(r)/r = sinc(r/2) e^(i r/2) from c2(r) = sinc(r/2)^2, removable at r = 0;
+    sinc(r/2) > 0 for |r| < 2*pi, so it is the root of c2."""
+    return math.sqrt(c2r) * cmath.exp(0.5j * r)
 
 def _A_prime_minus_A_over_r(r, c2r, q1r):
     """A'(r) - A(r)/r from the kernels c2(r), q1(r) as

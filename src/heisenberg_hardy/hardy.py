@@ -298,7 +298,7 @@ def _sweep_tail_integral(n, gammas, b1, rtol):
     def g(v):
         delta = span * v ** p
         r = TWO_PI - delta
-        c2d = special._c2(delta)
+        c2d = special._kernels(delta)[1]
         ratio = c2d / r ** 2
         pf = 0.5 * ratio ** n
         qf = (c2d * delta + r * np.sinc(delta / math.pi)) / r ** 3 * ratio ** (n - 1)

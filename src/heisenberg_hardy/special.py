@@ -6,7 +6,7 @@ layers:
 
 * three stable scalar kernels that isolate every trigonometric
   cancellation once and for all, computed together by ``_kernels`` from
-  two sines per value,
+  one tangent of the half angle per value,
 
       q1(r) = (r - sin r) / r^3
       c2(r) = 2 (1 - cos r) / r^2
@@ -14,11 +14,14 @@ layers:
 
   and the exact identities m4 = (r^2 - 2 r sin r - 2 cos r + 2)/r^4 =
   q1 + m3 and k3 = (r - 2 sin r + r cos r)/r^3 = 2 q1 - c2/2.  Measured
-  against 80-digit references on [0, 2*pi], c2 holds 5 ulps and the series
-  of q1 and m3 1 ulp, but their closed forms still cancel just above
-  SERIES_SWITCH: q1 is off by up to 63 ulps (1.05e-14 relative) and m3
-  by up to 471 ulps (7.9e-14), at r = 0.253 and 0.254; on [1, 2*pi] they
-  hold 2 and 21 ulps.  ROADMAP item 2 is the accuracy work;
+  against 80-digit references on [0, 2*pi] and at 2*pi - 10^-k, the three
+  series hold about 1 ulp below SERIES_SWITCH and c2 holds 3 ulps
+  (5.7e-16 relative) everywhere; the closed forms of q1 and m3 still
+  cancel just above the switch, where q1 is off by up to 25 ulps (5.6e-15
+  relative, r = 0.525) and m3 by up to 92 ulps (2.0e-14, r = 0.528); on
+  [1, 2*pi] they hold 4 and 16 ulps.
+  Floats near 2*pi are 8.9e-16 apart, so angles closer to 2*pi than that
+  need kernels in delta = 2*pi - |r|, which do not exist yet;
 
 * the model's named functions assembled from the kernels without further
   cancellation:
@@ -29,7 +32,10 @@ layers:
       gamma(r) = sqrt(2) m4^(1/4)         (gauge ratio N/t on the unit sphere)
       eta(r)   = c2 / (4 m4)              (Hardy weight; eta = w^2/(1+w^2))
 
-All public functions accept scalars or arrays and are vectorized in ``r``.
+All public functions accept scalars or arrays and are vectorized in ``r``;
+the named functions run the kernels and their own arithmetic on blocks of
+_BLOCK values (``_blockwise``), so the temporaries stay in cache, and a
+scalar is a block of one.
 """
 
 import math
@@ -39,18 +45,25 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Below this |r| the closed forms lose digits to cancellation (r - sin r
-# and c2 - sin(r)/r vanish like r^3 and r^2), so the kernels switch to
-# series.  Eight even terms keep the truncation error under 1e-20 here.
-SERIES_SWITCH = 0.25
+# Below this |r| the closed forms lose digits to cancellation (a - sin a
+# and c2 - sin(a)/a vanish like a^3 and a^2, and amplify the ~2 ulps of a
+# sine taken from the half-angle tangent by 6/a^2), so the kernels switch
+# to series.  Eight even terms keep the truncation error under 1e-20 here.
+SERIES_SWITCH = 0.5
 
-# Taylor coefficients of (q1, m3) in x = r^2, highest power first, shaped
-# for one Horner pass over both series:
+# Taylor coefficients of (q1, c2, m3) in x = r^2, highest power first,
+# shaped for one Horner pass over the three series:
 #   q1: sum_{j>=0} (-1)^j x^j / (2j+3)!
+#   c2: sum_{j>=0} (-1)^j 2 x^j / (2j+2)!
 #   m3: sum_{j>=0} (-1)^j (2j+2) x^j / (2j+4)!
 _SERIES_COEF = np.array([[(-1.0) ** j / math.factorial(2 * j + 3),
+                          (-1.0) ** j * 2 / math.factorial(2 * j + 2),
                           (-1.0) ** j * (2 * j + 2) / math.factorial(2 * j + 4)]
                          for j in reversed(range(8))])[:, :, None]
+
+# Values per block of the named functions: the temporaries of one block
+# (a dozen arrays of 128 KiB) stay in a core's L2 cache.
+_BLOCK = 16384
 
 
 def _split(r):
@@ -63,54 +76,78 @@ def _join(out, scalar):
     return float(out[0]) if scalar else out
 
 
-def _c2(r):
-    """2(1 - cos r)/r^2 = sinc(r/(2*pi))^2 via the half-angle sine; stable everywhere."""
-    return np.sinc(r / TWO_PI) ** 2
-
-
 def _kernels(r):
-    """The kernels (q1, c2, m3) at the float array r, from two sines per value.
+    """The kernels (q1, c2, m3) at the float array r, from one tangent per value.
 
-    All three are even, so the closed forms run on a = |r|, with s = sin a:
+    All three are even, so they are taken at a = |r|.  With h = a/2 and
+    t = tan h, sin a = 2t/(1 + t^2) and c2 = sin(h)^2/h^2 = (t/h)^2/(1 + t^2),
+    so every closed form is a product or quotient of t, h and a:
 
-        q1 = (a - s)/a^3,   c2 = sinc(r/(2*pi))^2,   m3 = (c2 - s/a)/a^2,
+        q1 = (a - sin a)/a^3,   c2 = (t/h)^2/(1 + t^2),   m3 = (c2 - sin(a)/a)/a^2,
 
-    the last from 2 - 2 cos r - r sin r = r^2 (c2 - sin(r)/r).  Where
-    |r| < SERIES_SWITCH one Horner pass over both series overwrites q1 and
-    m3 (the closed forms give nan at r = 0 and x = r^2 underflows at tiny
-    r, hence the ignored errors); when every |r| is below the switch the
-    closed forms are skipped.  Each value depends only on its own r, so a
-    batch is bit-equal to one-element calls.
+    the last from 2 - 2 cos r - r sin r = r^2 (c2 - sin(r)/r).  At r = pi,
+    t = 1.6e16 still gives c2 = 4/pi^2 and sin a = 1.2e-16.  The tangent
+    holds 0.5 ulp, so c2 holds 3 ulps and sin a about 2, which a - sin a
+    and c2 - sin(a)/a amplify by about 6/a^2 just above the switch: q1
+    holds 25 ulps and m3 92 ulps there, 4 and 16 on [1, 2*pi].  Where
+    |r| < SERIES_SWITCH one Horner pass over the three series (about
+    1 ulp) overwrites the closed forms (they give nan at r = 0 and x = r^2
+    underflows at tiny r, hence the ignored errors); when every |r| is
+    below the switch the closed forms are skipped.  Each value depends
+    only on its own r, so a batch is bit-equal to one-element calls.
     """
-    c2 = _c2(r)
-    a = np.abs(r)
+    a = np.abs(r).reshape(-1)
     with np.errstate(all="ignore"):
+        a2 = a * a
         if a.max(initial=0.0) < SERIES_SWITCH:
-            q1, m3 = _series(a ** 2)
-            return q1, c2, m3
-        s = np.sin(a)
-        q1 = a - s
-        q1 /= a ** 3
-        s /= a
-        m3 = np.subtract(c2, s, out=s)
-        m3 /= a * a
-        small = a < SERIES_SWITCH
-        if small.any():
-            q1[small], m3[small] = _series(a[small] ** 2)
-    return q1, c2, m3
+            return tuple(_series(a2).reshape((3,) + r.shape))
+        kernels = np.empty((3, a.size))
+        q1, c2, m3 = kernels
+        h = 0.5 * a
+        t = np.tan(h)
+        sec2 = t * t
+        sec2 += 1.0
+        np.divide(t, h, out=c2)
+        c2 *= c2
+        c2 /= sec2
+        t /= sec2                       # sin(a)/2
+        np.subtract(h, t, out=q1)       # (a - sin a)/2
+        t /= h                          # sin(a)/a
+        np.subtract(c2, t, out=m3)
+        m3 /= a2
+        h *= a2                         # a^3/2
+        q1 /= h
+        small = (a < SERIES_SWITCH).nonzero()[0]
+        if small.size:
+            for row, series in zip(kernels, _series(a2[small])):
+                row[small] = series
+    return tuple(kernels.reshape((3,) + r.shape))
 
 
 def _series(x):
-    """The series of (q1, m3) at x = r^2, shape (2,) + x.shape, from one Horner pass.
+    """The series of (q1, c2, m3) at the 1-d x = r^2, shape (3, x.size), by Horner."""
+    series = _SERIES_COEF[0] * x
+    for coef in _SERIES_COEF[1:-1]:
+        series += coef
+        series *= x
+    series += _SERIES_COEF[-1]
+    return series
 
-    The coefficient rows have shape (2, 1), so the pass runs on x flattened;
-    an x of shape (2, N) would otherwise broadcast row-by-row.
+
+def _blockwise(arr, fn, nout):
+    """The nout arrays fn(x, q1, c2, m3) over arr, shape (nout,) + arr.shape.
+
+    Runs ``_kernels`` and fn on consecutive blocks of _BLOCK values of arr
+    flattened, so their temporaries stay in cache; fn is elementwise, so
+    the result is bit-equal to one call over the whole array.
     """
-    flat = x.reshape(-1)
-    series = _SERIES_COEF[0]
-    for coef in _SERIES_COEF[1:]:
-        series = series * flat + coef
-    return series.reshape((2,) + x.shape)
+    flat = arr.reshape(-1)
+    out = np.empty((nout, flat.size))
+    for lo in range(0, flat.size, _BLOCK):
+        x = flat[lo:lo + _BLOCK]
+        for row, value in zip(out[:, lo:lo + _BLOCK], fn(x, *_kernels(x))):
+            row[...] = value
+    return out.reshape((nout,) + arr.shape)
 
 
 def eval_phi(r):
@@ -131,12 +168,18 @@ def eval_phi(r):
         raise ValueError("phi: r = 0 is a pole (phi ~ 12/r)")
     if np.any(np.abs(arr) > TWO_PI):
         raise ValueError("phi: |r| must not exceed 2*pi")
-    q1, c2, _ = _kernels(arr)
-    out = 2.0 * c2 / (q1 * arr)
+    out, = _blockwise(arr, lambda x, q1, c2, m3: [_phi(x, q1, c2)], 1)
+    return _join(out, scalar)
+
+
+def _phi(x, q1, c2):
+    """phi = 2 c2/(r q1) from the kernels at x, with +-2*pi mapped to signed zero."""
+    out = 2.0 * c2 / (q1 * x)
     # cos(2*pi) rounds to just under 1, leaving a harmless ~1e-32 residue;
     # pin the endpoint so that invert_phi(0) round-trips exactly.
-    out[np.abs(arr) == TWO_PI] = np.copysign(0.0, arr[np.abs(arr) == TWO_PI])
-    return _join(out, scalar)
+    end = np.abs(x) == TWO_PI
+    out[end] = np.copysign(0.0, x[end])
+    return out
 
 
 # Below this a the center asymptote 2*pi - sqrt(pi a) starts Newton nearer
@@ -229,10 +272,10 @@ def invert_phi(a):
     at most 4 eps |r| -- a relative test, so r ~ 12/a holds up to the
     largest float -- or is no smaller than its previous step, which happens
     only at the rounding level of log phi.  A solve takes one or two
-    ``_kernels`` calls (1.6 on average over a in [1e-6, 1e4]), more where
+    ``_kernels`` calls (1.55 on average over a in [1e-6, 1e4]), more where
     the rounding of q1 keeps the last step above 4 eps |r| (roots in
-    [0.25, 1]).  r is as accurate as the kernels allow: a few ulps, and up
-    to ~50 ulps just above the series switch of q1 (r ~ 0.26).
+    [0.5, 1.2]).  r is as accurate as the kernels allow: a few ulps, and up
+    to ~27 ulps (6e-15) just above the series switch of q1 (r ~ 0.52).
 
     Raises
     ------
@@ -258,39 +301,37 @@ def mu(r, n=1):
     for every n and mu(+-2*pi) = 0.
     """
     arr, scalar = _split(r)
-    _, c2, m3 = _kernels(arr)
-    return _join(m3 * c2 ** (n - 1), scalar)
+    out, = _blockwise(arr, lambda x, q1, c2, m3: [m3 * c2 ** (n - 1)], 1)
+    return _join(out, scalar)
 
 
 def rw(r):
     """r * w(r) = c2/(2 m3); smooth and positive on (-2*pi, 2*pi), value 6 at 0."""
     arr, scalar = _split(r)
-    _, c2, m3 = _kernels(arr)
-    return _join(c2 / (2.0 * m3), scalar)
+    out, = _blockwise(arr, lambda x, q1, c2, m3: [c2 / (2.0 * m3)], 1)
+    return _join(out, scalar)
 
 
 def rv(r):
     """r * v(r) = q1/m3; smooth on (-2*pi, 2*pi), value 2 at 0."""
     arr, scalar = _split(r)
-    q1, _, m3 = _kernels(arr)
-    return _join(q1 / m3, scalar)
+    out, = _blockwise(arr, lambda x, q1, c2, m3: [q1 / m3], 1)
+    return _join(out, scalar)
 
 
 def w(r):
     """w(r) = (1 - cos r)/(2 - 2 cos r - r sin r) * r; simple pole at r = 0."""
     arr, scalar = _split(r)
-    _, c2, m3 = _kernels(arr)
     with np.errstate(divide="ignore"):
-        out = c2 / (2.0 * m3 * arr)
+        out, = _blockwise(arr, lambda x, q1, c2, m3: [c2 / (2.0 * m3 * x)], 1)
     return _join(out, scalar)
 
 
 def v(r):
     """v(r) = (r - sin r)/(2 - 2 cos r - r sin r) / r; poles at r = 0 and +-2*pi."""
     arr, scalar = _split(r)
-    q1, _, m3 = _kernels(arr)
     with np.errstate(divide="ignore"):
-        out = q1 / (m3 * arr)
+        out, = _blockwise(arr, lambda x, q1, c2, m3: [q1 / (m3 * x)], 1)
     return _join(out, scalar)
 
 
@@ -301,8 +342,8 @@ def gamma(r):
     pi^(-1/2) at |r| = 2*pi.
     """
     arr, scalar = _split(r)
-    q1, _, m3 = _kernels(arr)
-    return _join(math.sqrt(2.0) * (q1 + m3) ** 0.25, scalar)
+    out, = _blockwise(arr, lambda x, q1, c2, m3: [math.sqrt(2.0) * (q1 + m3) ** 0.25], 1)
+    return _join(out, scalar)
 
 
 def eta(r):
@@ -312,8 +353,8 @@ def eta(r):
     in |r|.
     """
     arr, scalar = _split(r)
-    q1, c2, m3 = _kernels(arr)
-    return _join(c2 / (4.0 * (q1 + m3)), scalar)
+    out, = _blockwise(arr, lambda x, q1, c2, m3: [c2 / (4.0 * (q1 + m3))], 1)
+    return _join(out, scalar)
 
 
 @dataclass(frozen=True)
@@ -349,26 +390,20 @@ def eval_weights(r, n=1):
         raise ValueError("eval_weights: |r| must not exceed 2*pi")
     if n < 1 or n != int(n):
         raise ValueError("eval_weights: n must be a positive integer")
-    q1, c2, m3 = _kernels(arr)
-    m4 = q1 + m3
+
+    def weights(x, q1, c2, m3):
+        m4 = q1 + m3
+        poles = [_phi(x, q1, c2), q1 / (m3 * x), c2 / (2.0 * m3 * x)]
+        at_zero = x == 0.0
+        for pole in poles:
+            pole[at_zero] = np.inf
+        return poles + [m3 * c2 ** (n - 1), math.sqrt(2.0) * m4 ** 0.25, c2 / (4.0 * m4)]
+
+    names = ("phi", "v", "w", "mu", "gamma", "eta")
     with np.errstate(divide="ignore"):
-        phi_val = 2.0 * c2 / (q1 * arr)
-        w_val = c2 / (2.0 * m3 * arr)
-        v_val = q1 / (m3 * arr)
-    pole = arr == 0.0
-    phi_val[pole] = w_val[pole] = v_val[pole] = np.inf
-    end = np.abs(arr) == TWO_PI
-    phi_val[end] = np.copysign(0.0, arr[end])
-    values = dict(
-        phi=_join(phi_val, scalar),
-        mu=_join(m3 * c2 ** (n - 1), scalar),
-        v=_join(v_val, scalar),
-        w=_join(w_val, scalar),
-        gamma=_join(math.sqrt(2.0) * m4 ** 0.25, scalar),
-        eta=_join(c2 / (4.0 * m4), scalar),
-    )
-    # One copy, not the caller's array; made after the temporaries above
-    # are freed, so it does not raise the peak memory.
+        rows = _blockwise(arr, weights, len(names))
+    values = {name: _join(out, scalar) for name, out in zip(names, rows)}
+    # One copy, not the caller's array.
     angle = _join(arr.copy(), scalar)
     return SpecialValue(r=angle, psi_weight=angle, **values)
 

@@ -319,7 +319,7 @@ def test_sweep_tail_factorization_matches_raw():
             r = special.TWO_PI - delta
             raw_p = r * special.w(r) * special.mu(r, n) / delta ** (2 * n)
             raw_q = r * special.mu(r, n) / delta ** (2 * n - 1)
-            c2d = special._c2(np.array([delta]))[0]
+            c2d = special._kernels(np.array([delta]))[1][0]
             ratio = c2d / r ** 2
             p = 0.5 * ratio ** n
             q = (c2d * delta + r * np.sinc(delta / math.pi)) / r ** 3 * ratio ** (n - 1)

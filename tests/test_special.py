@@ -51,16 +51,17 @@ def _mp_phi(r):
 
 
 # Points straddling the series switch, tiny arguments, and near 2*pi.
-SAMPLE_R = [1e-8, 1e-4, 0.01, 0.2, 0.24999, 0.25001, 0.3, 1.0, 2.0,
+SAMPLE_R = [1e-8, 1e-4, 0.01, 0.2, 0.24999, 0.25001, 0.3, 0.49999, 0.50001, 1.0, 2.0,
             math.pi, 4.0, 5.5, TWO_PI - 1e-3, TWO_PI - 1e-8]
 
 
 def test_kernels_match_extended_precision():
-    # q1 and c2 hold ~1 ulp at these points (c2 goes through the half-angle
-    # sine).  m3 = (c2 - sin(r)/r)/r^2 gives up about two digits just above
-    # the series switch, where c2 and sin(r)/r still nearly cancel; near
-    # 2*pi the two terms have one sign, so it keeps full relative accuracy
-    # up to its zero there.
+    # c2 holds a few ulps at these points (it comes from the half-angle
+    # tangent).  q1 = (a - sin a)/a^3 and m3 = (c2 - sin(a)/a)/a^2 give up
+    # one or two digits just above the series switch, where the ~2 ulps of
+    # sin a taken from the tangent still cancel; near 2*pi the two terms of
+    # m3 have one sign, so it keeps full relative accuracy up to its zero
+    # there.
     for r in SAMPLE_R:
         q1, c2, m3 = (float(k[0]) for k in special._kernels(np.array([r])))
         assert abs(q1 - float(_mp_q1(r))) <= 1e-14 * float(_mp_q1(r))
@@ -75,26 +76,31 @@ def _mp_k3(r):
 
 def test_kernels_match_extended_precision_on_a_dense_grid():
     # The worst points sit just above the series switch, where a - sin a
-    # and c2 - sin(a)/a still cancel, and next to 2*pi, where c2 and m3
-    # vanish and only relative accuracy counts.  Just above the switch q1
-    # is off by up to 1.05e-14 (63 ulps near r = 0.2528), so its bound is
-    # 1.1e-14 here, not the 1e-14 of the sample points above.
-    # k3 = (r - 2 sin r + r cos r)/r^3 is taken as 2 q1 - c2/2, an exact
-    # identity.
+    # and c2 - sin(a)/a still cancel the ~2 ulps of a sine taken from the
+    # half-angle tangent (q1 5.6e-15 at r = 0.525, m3 2.0e-14 at 0.528),
+    # and next to 2*pi, where c2 and m3 vanish and only relative accuracy
+    # counts.  The window at 0.25 is where the closed forms of a switch at
+    # 0.25 were worst (q1 1.05e-14, m3 8e-14).  k3 = (r - 2 sin r + r cos r)/r^3
+    # is taken as 2 q1 - c2/2, an exact identity.
+    switch = special.SERIES_SWITCH
     r = np.concatenate([np.linspace(0.0, TWO_PI, 4001)[1:], np.linspace(0.25, 0.27, 2001),
+                        np.linspace(switch - 0.01, switch + 0.03, 2001),
                         TWO_PI - 10.0 ** -np.arange(1.0, 13.0)])
     q1, c2, m3 = special._kernels(r)
     ref = np.array([[float(f(x)) for f in (_mp_q1, _mp_c2, _mp_m3, _mp_k3)]
                     for x in map(mpmath.mpf, r)]).T
-    assert np.max(np.abs(q1 - ref[0]) / ref[0]) <= 1.1e-14
-    assert np.max(np.abs(c2 - ref[1]) / ref[1]) <= 1e-14
-    assert np.max(np.abs(m3 - ref[2]) / np.abs(ref[2])) <= 1e-13
+    assert np.max(np.abs(q1 - ref[0]) / ref[0]) <= 6e-15
+    assert np.max(np.abs(c2 - ref[1]) / ref[1]) <= 1e-15
+    assert np.max(np.abs(m3 - ref[2]) / np.abs(ref[2])) <= 2.5e-14
     assert np.max(np.abs(2.0 * q1 - 0.5 * c2 - ref[3])) <= 5e-15
 
 
+_SWITCH_R = [np.nextafter(special.SERIES_SWITCH, 0.0), special.SERIES_SWITCH,
+             np.nextafter(special.SERIES_SWITCH, 1.0)]
 _EXTREME_R = [0.0, -0.0, 1e-300, -1e-300, 1e-160, -1e-160,
               np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0),
               -np.nextafter(0.25, 0.0), -0.25, -np.nextafter(0.25, 1.0),
+              *_SWITCH_R, *(-x for x in _SWITCH_R),
               math.pi, -math.pi, TWO_PI, -TWO_PI]
 
 
@@ -185,8 +191,8 @@ _LOG_UNIFORM_A = st.floats(math.log(1e-300), math.log(1e300)).map(math.exp)
 def test_invert_phi_inverts_phi_over_the_float_range(a):
     r = invert_phi(a)
     # r is the float nearest the root up to the kernels' rounding (the worst,
-    # ~40 ulps, just above the series switch of q1) ...
-    assert abs(r - float(_mp_invert_phi(a))) <= 2e-14 * r
+    # ~27 ulps, just above the series switch of q1) ...
+    assert abs(r - float(_mp_invert_phi(a))) <= 1e-14 * r
     # ... so phi(r) = a to 1e-13 wherever phi is well conditioned; near 2*pi
     # the floats are 8.9e-16 apart and phi(r) can miss a by the condition
     # number |d log phi / d log r| = 2 m3 / (q1 c2) times eps.
@@ -219,7 +225,7 @@ def test_invert_phi_is_accurate_and_antitone_across_the_table_seams():
     # floats are 8.9e-16 apart) round to the same float.
     assert np.all(np.diff(r) <= 0.0)
     for x, rx in zip(a, r):
-        assert abs(rx - float(_mp_invert_phi(x))) <= 2e-14 * rx
+        assert abs(rx - float(_mp_invert_phi(x))) <= 1e-14 * rx
 
 
 @settings(deadline=None)
@@ -298,7 +304,8 @@ def test_eval_weights_consistency_and_poles():
     assert at_zero.mu == 1.0 / 12.0
 
 
-_EDGE_R = st.sampled_from([0.0, -0.0, 0.25, -0.25, TWO_PI, -TWO_PI])
+_EDGE_R = st.sampled_from([0.0, -0.0, 0.25, -0.25, special.SERIES_SWITCH,
+                           -special.SERIES_SWITCH, TWO_PI, -TWO_PI])
 _ANY_R = st.one_of(_EDGE_R, st.floats(-TWO_PI, TWO_PI))
 
 
@@ -333,6 +340,45 @@ def test_eval_weights_computes_each_kernel_once(monkeypatch):
     monkeypatch.setattr(special, "_kernels", counted)
     eval_weights(np.linspace(-TWO_PI, TWO_PI, 101), n=2)
     assert calls == [101]
+    calls.clear()
+    r = _block_input()
+    eval_weights(r, n=2)
+    assert sum(calls) == r.size
+    assert max(calls) <= special._BLOCK
+
+
+def _block_input():
+    """3 blocks and 7 values of r, with 0, +-pi, +-2*pi and the neighbours
+    of the series switch on each side of every block boundary."""
+    block = special._BLOCK
+    r = np.random.default_rng(5).uniform(-TWO_PI, TWO_PI, 3 * block + 7)
+    edges = [0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, *_SWITCH_R, *(-x for x in _SWITCH_R)]
+    for boundary in (block, 2 * block, 3 * block):
+        r[boundary - 5:boundary + 6] = edges
+    return r
+
+
+def _block_functions(r):
+    """The blocked functions of r: every field of eval_weights, mu, gamma, eta."""
+    with np.errstate(divide="ignore"):
+        sv = eval_weights(r, n=2)
+    return [getattr(sv, name) for name in ("phi", "mu", "v", "w", "gamma", "eta")] \
+        + [mu(r, 2), gamma(r), eta(r)]
+
+
+def test_blocked_functions_are_bit_equal_to_one_element_calls():
+    r = _block_input()
+    batch = _block_functions(r)
+    block = special._BLOCK
+    near = [i for boundary in (0, block, 2 * block, 3 * block)
+            for i in range(max(boundary - 8, 0), min(boundary + 9, r.size))]
+    for i in sorted(set(near + list(range(0, r.size, 101)) + [r.size - 1])):
+        single = _block_functions(float(r[i]))
+        np.testing.assert_array_equal(_bits([b[i] for b in batch]), _bits(single))
+    nd = _block_functions(r[1:].reshape(3, 2, -1))      # 3 (_BLOCK + 2) values
+    for got, ref in zip(nd, batch):
+        assert got.shape == (3, 2, (r.size - 1) // 6)
+        np.testing.assert_array_equal(_bits(got.reshape(-1)), _bits(ref[1:]))
 
 
 def test_invert_phi_takes_about_two_kernel_calls(monkeypatch):
@@ -381,17 +427,19 @@ def test_series_switch_is_seamless():
     # Values just inside and outside the series window agree with mpmath
     # (series side to ~1 ulp, closed side to the ulps its cancellation
     # costs), so there is no jump at the switch point.
-    below = special._kernels(np.array([0.2499999]))
-    above = special._kernels(np.array([0.2500001]))
-    for b, a, mp_fn in zip(below, above, (_mp_q1, _mp_c2, _mp_m3)):
-        ref_b = float(mp_fn(0.2499999))
-        ref_a = float(mp_fn(0.2500001))
+    below, above = special.SERIES_SWITCH - 1e-7, special.SERIES_SWITCH + 1e-7
+    for b, a, mp_fn in zip(special._kernels(np.array([below])),
+                           special._kernels(np.array([above])), (_mp_q1, _mp_c2, _mp_m3)):
+        ref_b = float(mp_fn(mpmath.mpf(below)))
+        ref_a = float(mp_fn(mpmath.mpf(above)))
         assert abs(float(b[0]) - ref_b) < 2e-16 * ref_b
         assert abs(float(a[0]) - ref_a) < 1e-13 * ref_a
 
 
-_SERIES_R = np.array([0.0, -0.0, 1e-300, -1e-8, 0.1, -0.2499999])
-_CLOSED_R = np.array([0.25, -0.2500001, 1.0, -3.0, 5.5, TWO_PI, -TWO_PI])
+_SERIES_R = np.array([0.0, -0.0, 1e-300, -1e-8, 0.1, -0.2499999, 0.25, -0.4999999,
+                      np.nextafter(special.SERIES_SWITCH, 0.0)])
+_CLOSED_R = np.array([special.SERIES_SWITCH, -np.nextafter(special.SERIES_SWITCH, 1.0),
+                      -0.5000001, 1.0, -3.0, 5.5, TWO_PI, -TWO_PI])
 
 
 @pytest.mark.parametrize("r", [_SERIES_R, _CLOSED_R, np.concatenate((_CLOSED_R, _SERIES_R)),
