@@ -92,13 +92,7 @@ def _csv_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return "%.17g" % v
-    if isinstance(v, int):
-        return str(v)
+        return _fmt_float(v).strip('"')
     return str(v)
 
 
@@ -158,10 +152,9 @@ def _report(command, inputs, outputs, tolerances=None, residuals=None):
     }
 
 
-def _check_entry(name, residual, tolerance, larger_is_fail=True):
-    passed = residual <= tolerance if larger_is_fail else residual >= tolerance
+def _check_entry(name, residual, tolerance):
     return {"name": name, "residual": float(residual),
-            "tolerance": float(tolerance), "passed": bool(passed)}
+            "tolerance": float(tolerance), "passed": bool(residual <= tolerance)}
 
 
 def _checks_report(command, inputs, entries):
@@ -331,13 +324,8 @@ def _cmd_check_jacobian(args):
 def _cmd_check_identities(args):
     grid = args.grid if args.grid is not None else 10_000
     rep = special.check_identities(args.n, grid_size=grid)
-    entries = [
-        _check_entry("rwmu_derivative", rep.residual_rwmu, 1e-6),
-        _check_entry("garofalo_identity", rep.residual_garofalo, 1e-10),
-        _check_entry("parity", rep.residual_parity, 1e-12),
-        _check_entry("gamma_lower_bound", -rep.gamma_margin, 1e-12),
-        _check_entry("eta_monotone", rep.eta_increase, 1e-12),
-    ]
+    entries = [_check_entry(name, residual, tol) for (name, tol), residual in
+               zip(special._IDENTITY_TOLERANCES.items(), special._identity_residuals(rep))]
     return _checks_report("check identities",
                           {"n": args.n, "grid_size": rep.grid_size,
                            "fd_step": rep.fd_step}, entries)
@@ -452,12 +440,9 @@ def _cmd_euclid(args):
 def _cmd_curves(args):
     grid = args.grid if args.grid is not None else 1024
     fn = special.v if args.fn == "v" else special.w
-    rows = []
-    for i in range(1, grid):
-        r = -TWO_PI + 4.0 * math.pi * i / grid
-        if r == 0.0:
-            continue
-        rows.append({"r": r, "value": float(fn(r))})
+    r = -TWO_PI + 4.0 * math.pi * np.arange(1, grid) / grid
+    r = r[r != 0.0]
+    rows = [{"r": x, "value": y} for x, y in zip(r.tolist(), fn(r).tolist())]
     return _report("curves", {"fn": args.fn, "grid": grid}, {"rows": rows})
 
 

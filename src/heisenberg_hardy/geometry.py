@@ -106,14 +106,13 @@ class FrameAtPoint:
     ``vectors`` are the pushed-forward frame fields (ambient components),
     ``polar_forms`` their components in the (t, varpi, r) chart as rows
     (d/dt, d/dvarpi in the tangent basis implied by the construction, d/dr).
-    ``xi_field`` is the distinguished second leg Xi = V_2 and ``t_field``
-    the vertical-direction combination T = grad(delta) - Xi/w.
+    The distinguished second leg Xi is ``vectors[1]``; ``t_field`` is the
+    vertical-direction combination T = grad(delta) - Xi/w.
     """
     point: Point
     polar: Polar
     vectors: tuple
     polar_forms: np.ndarray
-    xi_field: TangentVec
     t_field: TangentVec
 
 
@@ -379,14 +378,15 @@ def frame(c):
     point = _point(t, varpi, r, q1r, c2r)
     Aor = _A_over_r(r, c2r)
     Jvarpi = _J(varpi)
-    rwr = c2r / (2.0 * m3r)                  # r w(r)
-    vv = q1r / (m3r * r)
-    ww = c2r / (2.0 * m3r * r)
+    rwr = special._rw(r, q1r, c2r, m3r)
+    rvr = special._rv(r, q1r, c2r, m3r)
+    vv = special._v(r, q1r, c2r, m3r)
+    ww = special._w(r, q1r, c2r, m3r)
     root = 2.0 * abs(math.sin(0.5 * r))      # sqrt(2 - 2 cos r)
 
-    # pushforwards; Xi = (v A J + w (A' - A/r)) varpi, where v A J = -i (q1/m3) A/r
+    # pushforwards; Xi = (v A J + w (A' - A/r)) varpi, where v A J = -i (r v) A/r
     v1 = TangentVec(base=point, v_xi=_mul(cmath.exp(1j * r), varpi), v_z=0.25 * t * r * c2r)
-    xi2 = _mul(-1j * (q1r / m3r) * Aor + ww * _A_prime_minus_A_over_r(r, c2r, q1r), varpi)
+    xi2 = _mul(-1j * rvr * Aor + ww * _A_prime_minus_A_over_r(r, c2r, q1r), varpi)
     v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * rwr * (2.0 * q1r - 0.5 * c2r))
     wdirs = _complement(varpi)
     # A W / |A| = e^(i r/2) W, as sin(r/2) has the sign of r on 0 < |r| < 2 pi
@@ -404,21 +404,24 @@ def frame(c):
     t_field = TangentVec(base=point, v_xi=v1.v_xi - v2.v_xi / ww,
                          v_z=v1.v_z - v2.v_z / ww)
     return FrameAtPoint(point=point, polar=c, vectors=tuple(vecs),
-                        polar_forms=forms, xi_field=v2, t_field=t_field)
+                        polar_forms=forms, t_field=t_field)
 
 
-def is_horizontal(vec, tol=1e-10):
+_HORIZONTAL_TOL = 1e-10     # largest residual is_horizontal accepts
+
+
+def is_horizontal(vec):
     """Check membership of a tangent vector in the horizontal distribution.
 
     The horizontal plane at (xi, z) is spanned by X_i = d/dx_i + (y_i/2) d/dz
     and Y_i = d/dy_i - (x_i/2) d/dz, so the residual is
     |v_z - <xi, J v_xi>/2| evaluated at the base point.
 
-    Returns (bool, residual).
+    Returns (residual <= _HORIZONTAL_TOL, residual), the tolerance 1e-10.
     """
     base = vec.base
     resid = abs(vec.v_z - 0.5 * _symp(base.xi, vec.v_xi))
-    return resid <= tol, resid
+    return resid <= _HORIZONTAL_TOL, resid
 
 
 # ----------------------------------------------------------------------
@@ -440,20 +443,23 @@ def geodesic(varpi, p_z, s):
     return from_polar(Polar(s, varpi, s * p_z))
 
 
-def geodesic_curve_length(varpi, p_z, s, fd_step=1e-6):
+_FD_STEP = 1e-6     # step of the central differences of geodesic_curve_length
+
+
+def geodesic_curve_length(varpi, p_z, s):
     """Euclidean-horizontal arc length of the geodesic up to parameter s.
 
-    Integrates |d gamma_xi / d sigma| with central differences; for a
-    unit-speed geodesic this reproduces s, which is what the consistency
-    checks rely on.
+    Integrates |d gamma_xi / d sigma| with central differences of step
+    _FD_STEP = 1e-6; for a unit-speed geodesic this reproduces s, which is
+    what the consistency checks rely on.
     """
     varpi = np.asarray(varpi, dtype=float)
 
     def speed(sig):
         sig = np.atleast_1d(sig)
         out = np.empty_like(sig)
+        h = _FD_STEP
         for i, ss in enumerate(sig):
-            h = fd_step
             gp = geodesic(varpi, p_z, ss + h)
             gm = geodesic(varpi, p_z, max(ss - h, 0.0))
             out[i] = np.linalg.norm(gp.xi - gm.xi) / (h + min(ss, h))

@@ -134,13 +134,9 @@ def power_profile(expo, support=(0.0, TWO_PI)):
 
 @dataclass(frozen=True)
 class SeparableFn:
-    """Separable test function u(Phi(t, varpi, r)) = g(t) h(r) [* cutoff(r)]."""
+    """Separable test function u(Phi(t, varpi, r)) = g(t) h(r)."""
     g: Profile
     h: Profile
-    cutoff: object = None
-
-    def h_effective(self):
-        return self.h if self.cutoff is None else product_profile(self.h, self.cutoff)
 
 
 # ----------------------------------------------------------------------
@@ -167,13 +163,13 @@ def separable_quotient(u, cone, variant="full", rtol=1e-10):
     Two ``integrate`` calls, each to relative tolerance ``rtol``: the three
     t-integrals, and the four r-integrals of the full numerator plus the
     variant's own (so full, radial and perp share their r-integrals bit for
-    bit).  ``u.h`` (including the cutoff) must be supported in {r > rho}.
+    bit).  ``u.h`` must be supported in {r > rho}.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"separable_quotient: unknown variant {variant!r}")
     n = cone.n
     g = u.g
-    h = u.h_effective()
+    h = u.h
     if g.support[0] < 0.0 or not math.isfinite(g.support[1]):
         raise ValueError("separable_quotient: g must have bounded support in [0, inf) "
                          "(denominator exponent 2n-1 not integrable otherwise)")
@@ -193,14 +189,14 @@ def separable_quotient(u, cone, variant="full", rtol=1e-10):
 
     def r_parts(r):
         hv, hp = h.fn(r), h.dfn(r)
-        q1, c2, m3 = special._kernels(r)
-        muv = m3 * c2 ** (n - 1)
-        rwv = c2 / (2.0 * m3)
+        kernels = special._kernels(r)
+        muv = special._mu(r, *kernels, n)
+        rwv = special._rw(r, *kernels)
         parts = [hv * hv * muv, r * hv * hp * muv, (r * hp) ** 2 * muv, (rwv * hp) ** 2 * muv]
         if variant == "perp_weighted":
             parts += [rwv ** 2 / r * hp ** 2 * muv, r * hv * hv * muv]
         elif variant == "garofalo":
-            parts.append(hv * hv * c2 / (4.0 * (q1 + m3)) * muv)
+            parts.append(hv * hv * special._eta(r, *kernels) * muv)
         return np.stack(parts)
 
     i_gp2, i_ggp, i_g2 = integrate(t_parts, t0, t1, rtol).value
@@ -258,9 +254,9 @@ def koranyi_upper_bound(n, rtol=1e-12):
     n = int(n)
 
     def parts(r):
-        q1, c2, m3 = special._kernels(r)
-        den = (2.0 * (q1 + m3) ** 0.5) ** -n * m3 * c2 ** (n - 1)    # gamma^(-2n) mu
-        return np.stack([den * c2 / (4.0 * (q1 + m3)), den])
+        kernels = special._kernels(r)
+        den = special._gamma(r, *kernels) ** (-2 * n) * special._mu(r, *kernels, n)
+        return np.stack([den * special._eta(r, *kernels), den])
 
     top, bot = integrate(parts, 0.0, TWO_PI, rtol).value
     return n * n * top / bot
@@ -279,11 +275,13 @@ def _sweep_tail_integral(n, gammas, b1, rtol):
     Q(delta) with beta = 2n(2 gamma + 1) - 1 and the bounded factors
 
         P = r w mu / delta^(2n)      = (c2(delta)/r^2)^n / 2,
-        Q = r mu / delta^(2n-1)      = (c2(delta) delta + r sinc(delta/pi))
+        Q = r mu / delta^(2n-1)      = (2 pi c2(delta) - r delta^2 m3(delta))
                                         / r^3 * (c2(delta)/r^2)^(n-1),
 
     bounded and smooth where the raw (r w mu)^(2 gamma) under- or
-    overflows.  Under delta = span v^p, with e = beta + 1 and the integer
+    overflows (Q from c2 delta + r sin(delta)/delta and sin(delta)/delta =
+    c2 - delta^2 m3, so one ``_kernels`` call at delta gives both factors).
+    Under delta = span v^p, with e = beta + 1 and the integer
     p = ceil(3/e), the tail is span^e int_0^1 p v^(p e - 1) P^(2 gamma) Q dv:
     every gamma on v in [0, 1], so one ``integrate`` call takes all tails,
     and the integrand is C^2 at v = 0 (P, Q are smooth in span v^p and the
@@ -298,20 +296,23 @@ def _sweep_tail_integral(n, gammas, b1, rtol):
     def g(v):
         delta = span * v ** p
         r = TWO_PI - delta
-        c2d = special._kernels(delta)[1]
+        _, c2d, m3d = special._kernels(delta)
         ratio = c2d / r ** 2
         pf = 0.5 * ratio ** n
-        qf = (c2d * delta + r * np.sinc(delta / math.pi)) / r ** 3 * ratio ** (n - 1)
+        qf = (TWO_PI * c2d - r * delta ** 2 * m3d) / r ** 3 * ratio ** (n - 1)
         return pf ** (2.0 * gam) * qf * p * v ** (p * e - 1.0)
 
     return span ** e[:, 0] * integrate(g, 0.0, 1.0, rtol).value
 
 
-def sharpness_sweep(cone, gammas=None, width_factor=0.1, rtol=1e-10):
+_BAND_WIDTH = 0.1   # smoothstep band of sharpness_sweep, as a share of 2*pi - rho
+
+
+def sharpness_sweep(cone, gammas=None, rtol=1e-10):
     """Weighted perpendicular quotient R(gamma) of the sharpness family.
 
     For each gamma in (-1/2, 0] evaluates, with chi a C^1 smoothstep on
-    (rho, rho + width) and the weight F = (r w mu)^(2 gamma),
+    (rho, rho + _BAND_WIDTH (2*pi - rho)) and the weight F = (r w mu)^(2 gamma),
 
         R(gamma) = int r F (chi' w - n gamma chi)^2 mu dr
                    / int chi^2 F r mu dr,
@@ -329,8 +330,6 @@ def sharpness_sweep(cone, gammas=None, width_factor=0.1, rtol=1e-10):
     rho = cone.rho
     if not rho < TWO_PI:
         raise ValueError("sharpness_sweep: requires rho < 2*pi")
-    if not 0.0 < width_factor < 1.0:
-        raise ValueError("sharpness_sweep: width_factor must be in (0, 1)")
     if gammas is None:
         gammas = default_gamma_schedule()
     gammas = [float(gam) for gam in gammas]
@@ -342,15 +341,15 @@ def sharpness_sweep(cone, gammas=None, width_factor=0.1, rtol=1e-10):
                 "(not integrable)")
         if gam > 0.0:
             raise ValueError("sharpness_sweep: gamma must lie in (-1/2, 0]")
-    width = width_factor * (TWO_PI - rho)
+    width = _BAND_WIDTH * (TWO_PI - rho)
     b1 = rho + width
     chi = smoothstep_profile(rho, width)
     gam = np.array(gammas)[:, None]
 
     def band(r):
-        _, c2, m3 = special._kernels(r)
-        muv = m3 * c2 ** (n - 1)
-        rwv = c2 / (2.0 * m3)
+        kernels = special._kernels(r)
+        muv = special._mu(r, *kernels, n)
+        rwv = special._rw(r, *kernels)
         cv, cp = chi.fn(r), chi.dfn(r)
         f = r * muv * (rwv * muv) ** (2.0 * gam)
         return np.concatenate([f * (cp * (rwv / r) - n * gam * cv) ** 2, cv * cv * f])
@@ -510,14 +509,15 @@ def sl_perp_estimate(cone, grid_n=1024, weighted=True):
         raise ValueError("sl_perp_estimate: unweighted case needs rho > 0 "
                          "(Dirichlet node exists)")
 
-    # rw = c2/(2 m3) and mu = m3 c2^(n-1): one ``_kernels`` call per grid
+    # r^2 w^2 mu and mu: one ``_kernels`` call per grid
     def p(r):
-        _, c2, m3 = special._kernels(r)
-        return c2 ** (n + 1) / (4.0 * (r if weighted else 1.0) * m3)
+        kernels = special._kernels(r)
+        rw2mu = special._rw(r, *kernels) ** 2 * special._mu(r, *kernels, n)
+        return rw2mu / r if weighted else rw2mu
 
     def q(r):
-        _, c2, m3 = special._kernels(r)
-        return (r if weighted else 1.0) * m3 * c2 ** (n - 1)
+        muv = special._mu(r, *special._kernels(r), n)
+        return r * muv if weighted else muv
 
     problem = SLProblem(p=p, q=q, a=rho, b=TWO_PI, grid_n=int(grid_n),
                         right_bc="natural")
@@ -545,7 +545,7 @@ def annulus_identity_check(f, r1, r2, cone_n=1, rtol=1e-10):
         raise ValueError("annulus_identity_check: requires 0 < R1 < R2")
     n = int(cone_n)
     g = f.g
-    h = f.h_effective()
+    h = f.h
     lo = max(-TWO_PI, h.support[0])
     hi = min(TWO_PI, h.support[1])
     ih = integrate(lambda r: h.fn(r) * special.mu(r, n), lo, hi, rtol).value
@@ -581,9 +581,9 @@ def euclid_quotient(d, a, gam, rtol=1e-10):
 
         int |<grad u, Xi>|^2 / psi dx / int u^2 psi / t^2 dx = gamma^2,
 
-    which this evaluates by honest quadrature of both integrals (shared
-    radial factor computed once, both angular integrals in one call of
-    ``integrate``); the angular integrands carry the local
+    which this evaluates by honest quadrature of both angular integrals in
+    one call of ``integrate`` (the radial factor int eta(t)^2 t^(d-3) dt
+    is common to both and cancels); the angular integrands carry the local
     power 2 gamma + d - 3 at phi = pi/2, handled by substitution when
     negative.
     """
@@ -596,9 +596,6 @@ def euclid_quotient(d, a, gam, rtol=1e-10):
     if not gam > 0.5 * (2 - d):
         raise ValueError(f"euclid_quotient: gamma must exceed (2-d)/2 = {0.5 * (2 - d)}")
 
-    eta_t = bump_profile(1.0, 2.0)
-    t_factor = integrate(lambda t: eta_t.fn(t) ** 2 * t ** (d - 3), 1.0, 2.0, rtol).value
-
     expo = 2.0 * gam + d - 3.0
     sing = ("right", expo) if expo < 0.0 else None
 
@@ -608,7 +605,7 @@ def euclid_quotient(d, a, gam, rtol=1e-10):
                          c ** (2.0 * gam) * (s / c) * c ** (d - 2)])
 
     num, den = integrate(phi_parts, a, 0.5 * math.pi, rtol, singularity=sing).value
-    return (num * t_factor) / (den * t_factor)
+    return num / den
 
 
 def euclid_cone_lower_bound(d, a):

@@ -177,14 +177,17 @@ def integrate(f, a, b, rtol=1e-10, max_evals=1_000_000, singularity=None):
 # Root finding
 # ----------------------------------------------------------------------
 
-def find_root_monotone(f, lo, hi, tol=1e-12, max_iter=300):
+_MAX_BISECTIONS = 300   # most halvings of find_root_monotone
+
+
+def find_root_monotone(f, lo, hi, tol=1e-12):
     """Find the root of a monotone function bracketed by [lo, hi].
 
     Bisects until |f(x)| <= tol * scale with scale = max(1, |f(lo)|,
     |f(hi)|), or until the bracket is within 4 eps of its end points (a
     relative test, floored at the smallest normal float) -- so ``tol=0``
-    polishes the root to ~1 ulp, given ``max_iter`` halvings enough to
-    reach its scale.
+    polishes the root to ~1 ulp, given _MAX_BISECTIONS = 300 halvings
+    enough to reach its scale.
 
     Raises
     ------
@@ -207,7 +210,7 @@ def find_root_monotone(f, lo, hi, tol=1e-12, max_iter=300):
     sign_lo = math.copysign(1.0, flo)
 
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         fx = float(f(x))
         if fx == 0.0 or abs(fx) <= tol * scale:
             return x

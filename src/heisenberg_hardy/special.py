@@ -24,7 +24,8 @@ layers:
   need kernels in delta = 2*pi - |r|, which do not exist yet;
 
 * the model's named functions assembled from the kernels without further
-  cancellation:
+  cancellation, each written once as a private weight (``_phi``, ``_mu``,
+  ...) that every module applies to its own ``_kernels`` call:
 
       phi(r)   = 2 c2 / (r q1)            (order-reversing, (0,2*pi] -> [0,inf))
       mu(r)    = m3 c2^(n-1)              (radial density of the polar Jacobian)
@@ -33,13 +34,13 @@ layers:
       eta(r)   = c2 / (4 m4)              (Hardy weight; eta = w^2/(1+w^2))
 
 All public functions accept scalars or arrays and are vectorized in ``r``;
-the named functions run the kernels and their own arithmetic on blocks of
-_BLOCK values (``_blockwise``), so the temporaries stay in cache, and a
-scalar is a block of one.
+the named functions are one call of the driver ``_weights``, which runs the
+kernels and the weights on blocks of _BLOCK values, so the temporaries stay
+in cache, and a scalar is a block of one.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,16 +65,6 @@ _SERIES_COEF = np.array([[(-1.0) ** j / math.factorial(2 * j + 3),
 # Values per block of the named functions: the temporaries of one block
 # (a dozen arrays of 128 KiB) stay in a core's L2 cache.
 _BLOCK = 16384
-
-
-def _split(r):
-    """Coerce to float ndarray, remembering whether the input was scalar."""
-    arr = np.asarray(r, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
-def _join(out, scalar):
-    return float(out[0]) if scalar else out
 
 
 def _kernels(r):
@@ -134,20 +125,48 @@ def _series(x):
     return series
 
 
-def _blockwise(arr, fn, nout):
-    """The nout arrays fn(x, q1, c2, m3) over arr, shape (nout,) + arr.shape.
+def _weights(r, fns, n=1):
+    """The weights fns at r: one array shaped like r per fn, or floats for a scalar r.
 
-    Runs ``_kernels`` and fn on consecutive blocks of _BLOCK values of arr
-    flattened, so their temporaries stay in cache; fn is elementwise, so
-    the result is bit-equal to one call over the whole array.
+    Runs ``_kernels`` and each fn(x, q1, c2, m3, n) on blocks of _BLOCK
+    values of r flattened, into the rows of one (len(fns), N) output, so the
+    temporaries stay in cache; the weights are elementwise, so the result is
+    bit-equal to one call over the whole array.  Poles give silent infinities.
     """
+    arr = np.asarray(r, dtype=float)
     flat = arr.reshape(-1)
-    out = np.empty((nout, flat.size))
-    for lo in range(0, flat.size, _BLOCK):
-        x = flat[lo:lo + _BLOCK]
-        for row, value in zip(out[:, lo:lo + _BLOCK], fn(x, *_kernels(x))):
-            row[...] = value
-    return out.reshape((nout,) + arr.shape)
+    out = np.empty((len(fns), flat.size))
+    with np.errstate(divide="ignore"):
+        for lo in range(0, flat.size, _BLOCK):
+            x = flat[lo:lo + _BLOCK]
+            kernels = _kernels(x)
+            for fn, row in zip(fns, out[:, lo:lo + _BLOCK]):
+                row[...] = fn(x, *kernels, n)
+    if arr.ndim == 0:
+        return [float(row[0]) for row in out]
+    return list(out.reshape((len(fns),) + arr.shape))
+
+
+# The weights, one definition each, from the kernels (q1, c2, m3) at r and
+# m4 = q1 + m3.  ``_weights`` runs them blockwise; geometry and hardy apply
+# them to the kernels they already hold (every one but _phi takes floats).
+def _mu(r, q1, c2, m3, n=1): return m3 * c2 ** (n - 1)
+def _rw(r, q1, c2, m3, n=1): return c2 / (2.0 * m3)
+def _rv(r, q1, c2, m3, n=1): return q1 / m3
+def _w(r, q1, c2, m3, n=1): return c2 / (2.0 * m3 * r)
+def _v(r, q1, c2, m3, n=1): return q1 / (m3 * r)
+def _gamma(r, q1, c2, m3, n=1): return math.sqrt(2.0) * (q1 + m3) ** 0.25
+def _eta(r, q1, c2, m3, n=1): return c2 / (4.0 * (q1 + m3))
+
+
+def _phi(r, q1, c2, m3, n=1):
+    """phi = 2 c2/(r q1), with +-2*pi mapped to signed zero."""
+    out = 2.0 * c2 / (q1 * r)
+    # cos(2*pi) rounds to just under 1, leaving a harmless ~1e-32 residue;
+    # pin the endpoint so that invert_phi(0) round-trips exactly.
+    end = np.abs(r) == TWO_PI
+    out[end] = np.copysign(0.0, r[end])
+    return out
 
 
 def eval_phi(r):
@@ -161,25 +180,14 @@ def eval_phi(r):
     ValueError
         for r = 0, |r| > 2*pi, or non-finite input.
     """
-    arr, scalar = _split(r)
+    arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("phi: r must be finite")
     if np.any(arr == 0.0):
         raise ValueError("phi: r = 0 is a pole (phi ~ 12/r)")
     if np.any(np.abs(arr) > TWO_PI):
         raise ValueError("phi: |r| must not exceed 2*pi")
-    out, = _blockwise(arr, lambda x, q1, c2, m3: [_phi(x, q1, c2)], 1)
-    return _join(out, scalar)
-
-
-def _phi(x, q1, c2):
-    """phi = 2 c2/(r q1) from the kernels at x, with +-2*pi mapped to signed zero."""
-    out = 2.0 * c2 / (q1 * x)
-    # cos(2*pi) rounds to just under 1, leaving a harmless ~1e-32 residue;
-    # pin the endpoint so that invert_phi(0) round-trips exactly.
-    end = np.abs(x) == TWO_PI
-    out[end] = np.copysign(0.0, x[end])
-    return out
+    return _weights(arr, [_phi])[0]
 
 
 # Below this a the center asymptote 2*pi - sqrt(pi a) starts Newton nearer
@@ -282,7 +290,7 @@ def invert_phi(a):
     ValueError
         for negative or NaN input.
     """
-    arr, scalar = _split(a)
+    arr = np.asarray(a, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise ValueError("invert_phi: a must be in [0, inf]")
     flat = arr.reshape(-1)
@@ -290,7 +298,7 @@ def invert_phi(a):
     idx = np.flatnonzero((flat > 0.0) & (flat < np.inf))
     aa = flat[idx]
     out[idx] = _phi_newton(_newton_start(aa), aa)
-    return _join(out.reshape(arr.shape), scalar)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def mu(r, n=1):
@@ -300,39 +308,27 @@ def mu(r, n=1):
     volume density with every power of r cancelled exactly; mu(0) = 1/12
     for every n and mu(+-2*pi) = 0.
     """
-    arr, scalar = _split(r)
-    out, = _blockwise(arr, lambda x, q1, c2, m3: [m3 * c2 ** (n - 1)], 1)
-    return _join(out, scalar)
+    return _weights(r, [_mu], n)[0]
 
 
 def rw(r):
     """r * w(r) = c2/(2 m3); smooth and positive on (-2*pi, 2*pi), value 6 at 0."""
-    arr, scalar = _split(r)
-    out, = _blockwise(arr, lambda x, q1, c2, m3: [c2 / (2.0 * m3)], 1)
-    return _join(out, scalar)
+    return _weights(r, [_rw])[0]
 
 
 def rv(r):
     """r * v(r) = q1/m3; smooth on (-2*pi, 2*pi), value 2 at 0."""
-    arr, scalar = _split(r)
-    out, = _blockwise(arr, lambda x, q1, c2, m3: [q1 / m3], 1)
-    return _join(out, scalar)
+    return _weights(r, [_rv])[0]
 
 
 def w(r):
     """w(r) = (1 - cos r)/(2 - 2 cos r - r sin r) * r; simple pole at r = 0."""
-    arr, scalar = _split(r)
-    with np.errstate(divide="ignore"):
-        out, = _blockwise(arr, lambda x, q1, c2, m3: [c2 / (2.0 * m3 * x)], 1)
-    return _join(out, scalar)
+    return _weights(r, [_w])[0]
 
 
 def v(r):
     """v(r) = (r - sin r)/(2 - 2 cos r - r sin r) / r; poles at r = 0 and +-2*pi."""
-    arr, scalar = _split(r)
-    with np.errstate(divide="ignore"):
-        out, = _blockwise(arr, lambda x, q1, c2, m3: [q1 / (m3 * x)], 1)
-    return _join(out, scalar)
+    return _weights(r, [_v])[0]
 
 
 def gamma(r):
@@ -341,9 +337,7 @@ def gamma(r):
     Equals N/t on the unit geodesic sphere; decreases from 1 at r = 0 to
     pi^(-1/2) at |r| = 2*pi.
     """
-    arr, scalar = _split(r)
-    out, = _blockwise(arr, lambda x, q1, c2, m3: [math.sqrt(2.0) * (q1 + m3) ** 0.25], 1)
-    return _join(out, scalar)
+    return _weights(r, [_gamma])[0]
 
 
 def eta(r):
@@ -352,9 +346,7 @@ def eta(r):
     Even, equal to 1 at r = 0, vanishing at |r| = 2*pi, non-increasing
     in |r|.
     """
-    arr, scalar = _split(r)
-    out, = _blockwise(arr, lambda x, q1, c2, m3: [c2 / (4.0 * (q1 + m3))], 1)
-    return _join(out, scalar)
+    return _weights(r, [_eta])[0]
 
 
 @dataclass(frozen=True)
@@ -377,35 +369,33 @@ class SpecialValue:
     psi_weight: object
 
 
+def _pole(weight):
+    """The weight with +inf at r = -0.0 too, where an odd weight gives -inf."""
+    def pinned(r, *args):
+        out = weight(r, *args)
+        out[r == 0.0] = np.inf
+        return out
+    return pinned
+
+
 def eval_weights(r, n=1):
     """Evaluate all named weight functions at once; returns a SpecialValue.
 
     Accepts scalars or arrays and |r| up to 2*pi.  At r = 0 the functions
     with poles (phi, v, w) come back as +inf.
     """
-    arr, scalar = _split(r)
+    arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("eval_weights: r must be finite")
     if np.any(np.abs(arr) > TWO_PI):
         raise ValueError("eval_weights: |r| must not exceed 2*pi")
     if n < 1 or n != int(n):
         raise ValueError("eval_weights: n must be a positive integer")
-
-    def weights(x, q1, c2, m3):
-        m4 = q1 + m3
-        poles = [_phi(x, q1, c2), q1 / (m3 * x), c2 / (2.0 * m3 * x)]
-        at_zero = x == 0.0
-        for pole in poles:
-            pole[at_zero] = np.inf
-        return poles + [m3 * c2 ** (n - 1), math.sqrt(2.0) * m4 ** 0.25, c2 / (4.0 * m4)]
-
+    values = _weights(arr, [_pole(_phi), _pole(_v), _pole(_w), _mu, _gamma, _eta], n)
     names = ("phi", "v", "w", "mu", "gamma", "eta")
-    with np.errstate(divide="ignore"):
-        rows = _blockwise(arr, weights, len(names))
-    values = {name: _join(out, scalar) for name, out in zip(names, rows)}
     # One copy, not the caller's array.
-    angle = _join(arr.copy(), scalar)
-    return SpecialValue(r=angle, psi_weight=angle, **values)
+    angle = arr.copy() if arr.ndim else float(arr)
+    return SpecialValue(r=angle, psi_weight=angle, **dict(zip(names, values)))
 
 
 @dataclass(frozen=True)
@@ -432,11 +422,26 @@ class IdentityReport:
     passed: bool
 
 
-def check_identities(n=1, grid_size=10_000, fd_step=1e-5):
+_FD_STEP = 1e-5     # step of the central differences of check_identities
+
+# Each identity of check_identities passes when its residual is at most its
+# tolerance; the residual of the gamma bound is -gamma_margin.
+_IDENTITY_TOLERANCES = {"rwmu_derivative": 1e-6, "garofalo_identity": 1e-10,
+                        "parity": 1e-12, "gamma_lower_bound": 1e-12,
+                        "eta_monotone": 1e-12}
+
+
+def _identity_residuals(rep):
+    """The residuals of rep in the order of _IDENTITY_TOLERANCES."""
+    return [rep.residual_rwmu, rep.residual_garofalo, rep.residual_parity,
+            -rep.gamma_margin, rep.eta_increase]
+
+
+def check_identities(n=1, grid_size=10_000):
     """Verify the differential and algebraic identities of the weights.
 
     Checks, on a uniform grid of (0, 2*pi) excluding 1e-3 end
-    neighbourhoods:
+    neighbourhoods, with every weight from two ``_weights`` calls:
 
     (a) d/dr [r w(r) mu(r)] = -n r mu(r)        (central differences)
     (b) (1 + w^2)/w^2 = 2 (r^2 - 2 r sin r - 2 cos r + 2)/(r^2 (1 - cos r))
@@ -444,49 +449,52 @@ def check_identities(n=1, grid_size=10_000, fd_step=1e-5):
     (d) gamma(r) >= pi^(-1/2)
     (e) eta non-increasing in |r|
 
-    Returns an IdentityReport; ``passed`` is True when (a) < 1e-6,
-    (b) < 1e-10 relative, (c) < 1e-12, (d) >= -1e-12, (e) <= 1e-12.
+    Returns an IdentityReport; ``passed`` is True when every residual is at
+    most its _IDENTITY_TOLERANCES entry:
+    (a) 1e-6, (b) 1e-10 relative, (c) 1e-12, (d) 1e-12 on -gamma_margin,
+    (e) 1e-12.
     """
     if grid_size < 16:
         raise ValueError("check_identities: grid_size must be at least 16")
     r = np.linspace(1e-3, TWO_PI - 1e-3, grid_size)
+    h = _FD_STEP
+
+    # The right side of (b) is 2 (r^2 - 2 r sin r - 2 cos r + 2)/(r^2 (1 - cos r))
+    # = 4 m4/c2; both sides are evaluated through the stable kernels (the
+    # naive right-hand numerator alone loses ~12 digits at r = 1e-3): the
+    # left side through w = c2/(2 r m3), the right through m4 = q1 + m3, so
+    # the identity that ties q1 to c2 and m3 is genuinely exercised.
+    def garofalo_rhs(x, q1, c2, m3, n):
+        return 4.0 * (q1 + m3) / c2
+
+    rws, mus, ws, rhs, phis, vs, etas = _weights(
+        np.stack([r + h, r - h, r, -r]), [_rw, _mu, _w, garofalo_rhs, _phi, _v, _eta], n)
 
     # (a) derivative identity, central differences
-    def rwmu(x):
-        return rw(x) * mu(x, n)
+    d = (rws[0] * mus[0] - rws[1] * mus[1]) / (2.0 * h)
+    res_a = float(np.max(np.abs(d + n * r * mus[2])))
 
-    d = (rwmu(r + fd_step) - rwmu(r - fd_step)) / (2.0 * fd_step)
-    res_a = float(np.max(np.abs(d + n * r * mu(r, n))))
-
-    # (b) Gaveau-Garofalo identity, relative residual.  The right side is
-    # 2 (r^2 - 2 r sin r - 2 cos r + 2)/(r^2 (1 - cos r)) = 4 m4/c2; both
-    # sides are evaluated through the stable kernels (the naive right-hand
-    # numerator alone loses ~12 digits at r = 1e-3): the left side through
-    # w = c2/(2 r m3), the right through m4 = q1 + m3, so the identity that
-    # ties q1 to c2 and m3 is genuinely exercised.
-    w2 = w(r) ** 2
+    # (b) Gaveau-Garofalo identity, relative residual
+    w2 = ws[2] ** 2
     lhs = (1.0 + w2) / w2
-    q1, c2, m3 = _kernels(r)
-    rhs = 4.0 * (q1 + m3) / c2
-    res_b = float(np.max(np.abs(lhs - rhs) / rhs))
+    res_b = float(np.max(np.abs(lhs - rhs[2]) / rhs[2]))
 
     # (c) parity
-    res_c = max(
-        float(np.max(np.abs(mu(-r, n) - mu(r, n)))),
-        float(np.max(np.abs(eta(-r) - eta(r)))),
-        float(np.max(np.abs(eval_phi(-r) + eval_phi(r)))),
-        float(np.max(np.abs(v(-r) + v(r)))),
-        float(np.max(np.abs(w(-r) + w(r)))),
-    )
+    res_c = max(float(np.max(np.abs(mus[3] - mus[2]))),
+                float(np.max(np.abs(etas[3] - etas[2]))),
+                float(np.max(np.abs(phis[3] + phis[2]))),
+                float(np.max(np.abs(vs[3] + vs[2]))),
+                float(np.max(np.abs(ws[3] + ws[2]))))
 
     # (d) gamma lower bound and (e) eta monotonicity, on [0, 2*pi]
-    rfull = np.linspace(0.0, TWO_PI, grid_size)
-    margin_d = float(np.min(gamma(rfull)) - 1.0 / math.sqrt(math.pi))
-    res_e = float(np.max(np.diff(eta(rfull))))
+    gammas, etas = _weights(np.linspace(0.0, TWO_PI, grid_size), [_gamma, _eta])
+    margin_d = float(np.min(gammas) - 1.0 / math.sqrt(math.pi))
+    res_e = float(np.max(np.diff(etas)))
 
-    passed = (res_a < 1e-6 and res_b < 1e-10 and res_c < 1e-12
-              and margin_d >= -1e-12 and res_e <= 1e-12)
-    return IdentityReport(n=n, grid_size=grid_size, fd_step=fd_step,
-                          residual_rwmu=res_a, residual_garofalo=res_b,
-                          residual_parity=res_c, gamma_margin=margin_d,
-                          eta_increase=res_e, passed=passed)
+    rep = IdentityReport(n=n, grid_size=grid_size, fd_step=h,
+                         residual_rwmu=res_a, residual_garofalo=res_b,
+                         residual_parity=res_c, gamma_margin=margin_d,
+                         eta_increase=res_e, passed=False)
+    passed = all(res <= tol for res, tol in
+                 zip(_identity_residuals(rep), _IDENTITY_TOLERANCES.values()))
+    return replace(rep, passed=passed)

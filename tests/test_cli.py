@@ -16,6 +16,7 @@ import jsonschema
 import pytest
 
 import heisenberg_hardy.cli as cli
+from heisenberg_hardy import special
 from heisenberg_hardy.numerics import QuadratureError, SLProblem, sl_min_eig
 
 SCHEMA = json.loads(
@@ -140,6 +141,19 @@ def test_csv_formats():
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "s,xi0,xi1,z,delta"
     assert len(lines) == 6  # header + steps 0..4
+
+
+@pytest.mark.parametrize("fn", ["v", "w"])
+@pytest.mark.parametrize("grid", [33, 1024])
+def test_curves_rows_are_bit_equal_to_scalar_calls(fn, grid, capsys):
+    assert cli.main(["curves", "--fn", fn, "--grid", str(grid)]) == 0
+    rows = json.loads(capsys.readouterr().out)["outputs"]["rows"]
+    rs = [r for r in (-special.TWO_PI + 4.0 * math.pi * i / grid for i in range(1, grid))
+          if r != 0.0]
+    assert [row["r"] for row in rows] == rs
+    scalar = getattr(special, fn)
+    for row, r in zip(rows, rs):
+        assert row["value"] == float(scalar(r)), r
 
 
 def test_output_file(tmp_path):

@@ -120,7 +120,7 @@ def test_radial_variant_reduces_to_one_dimensional_integrals():
     cone = ConeSpec.from_rho(1, math.pi / 2)
     u = _test_function(cone)
     got = separable_quotient(u, cone, variant="radial")
-    g, h = u.g, u.h_effective()
+    g, h = u.g, u.h
     n = cone.n
 
     def q(f, lo, hi):
@@ -151,7 +151,7 @@ def test_quotient_admissibility_and_variant_errors():
 
 def _quad_reference(u, cone, variant):
     """The quotient from scipy's QUADPACK, one scalar integral at a time."""
-    n, g, h = cone.n, u.g, u.h_effective()
+    n, g, h = cone.n, u.g, u.h
 
     def q(f, lo, hi):
         return quad(lambda x: float(f(np.array([x]))[0]), lo, hi,

@@ -472,6 +472,24 @@ def test_kernels_and_eval_weights_on_nd_arrays_match_flattened(r, shape):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_identities_takes_at_most_six_grids_of_kernel_values(monkeypatch, n):
+    # Every weight it tests comes from two blockwise passes: one at r + h,
+    # r - h, r and -r, one on [0, 2*pi].  Named function by named function
+    # it took 19 grids of values.
+    calls = []
+    kernels = special._kernels
+
+    def counted(r):
+        calls.append(r.size)
+        return kernels(r)
+
+    monkeypatch.setattr(special, "_kernels", counted)
+    grid = 4000
+    assert check_identities(n=n, grid_size=grid).passed
+    assert sum(calls) <= 6 * grid
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_check_identities_passes(n):
     rep = check_identities(n=n, grid_size=4000)
     assert rep.passed
