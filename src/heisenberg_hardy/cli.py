@@ -269,7 +269,7 @@ def _cmd_check_frame(args):
         for vec in fr.vectors:
             horiz_max = max(horiz_max, geometry.is_horizontal(vec)[1])
         eik_max = max(eik_max, abs(fr.vectors[0].norm_horizontal() - 1.0))
-        ww = special.w(c.r)
+        ww = special._w(c.r, *c.kernels)
         t_norm2 = float(fr.t_field.v_xi @ fr.t_field.v_xi)
         expected = (1.0 + ww * ww) / (ww * ww)
         tnorm_max = max(tnorm_max, abs(t_norm2 / expected - 1.0))
@@ -287,7 +287,7 @@ def _fd_jacobian_det(c, h=1e-5):
     """Finite-difference determinant of Phi at c, same tangent basis layout."""
     n = c.n
     dim = 2 * n + 1
-    tangent = geometry._sphere_basis(c.varpi)
+    tangent = np.vstack((geometry._J(c.varpi), c.complement))    # jacobian's sphere columns
 
     def embed(t, varpi, r):
         pt = geometry.from_polar(geometry.Polar(t, varpi / np.linalg.norm(varpi), r))

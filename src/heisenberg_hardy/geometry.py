@@ -23,6 +23,7 @@ the adapted orthonormal horizontal frame.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,10 @@ class Point:
 
 @dataclass(frozen=True)
 class Polar:
-    """Polar triple (t, varpi, r): t >= 0, |varpi| = 1, |r| <= 2*pi."""
+    """Polar triple (t, varpi, r): t >= 0, |varpi| = 1, |r| <= 2*pi.
+
+    Its kernels and complement are computed on first use and kept.
+    """
     t: float
     varpi: np.ndarray
     r: float
@@ -78,6 +82,18 @@ class Polar:
     @property
     def n(self):
         return self.varpi.size // 2
+
+    @cached_property
+    def kernels(self):
+        """The kernels (q1, c2, m3) at r, as three floats."""
+        return _at(self.r)
+
+    @cached_property
+    def complement(self):
+        """Orthonormal rows spanning the complement of span(varpi, J varpi)."""
+        rows = _complement(self.varpi)
+        rows.flags.writeable = False        # shared by the maps of this triple
+        return rows
 
 
 @dataclass(frozen=True)
@@ -178,7 +194,7 @@ def koranyi(p):
 
 def koranyi_polar(c):
     """The gauge through polar coordinates: N(Phi(t, varpi, r)) = t * gamma(r)."""
-    return c.t * special.gamma(c.r)
+    return c.t * special._gamma(c.r, *c.kernels)
 
 
 # ----------------------------------------------------------------------
@@ -216,12 +232,8 @@ def from_polar(c):
     t, r = c.t, c.r
     if abs(r) == TWO_PI:
         return Point(np.zeros_like(c.varpi), math.copysign(t * t / (4.0 * math.pi), r))
-    return _point(t, c.varpi, r, *_at(r)[:2])
-
-
-def _point(t, varpi, r, q1r, c2r):
-    """Phi(t, varpi, r) for |r| < 2*pi from the kernels q1(r), c2(r)."""
-    return Point(t * _mul(_A_over_r(r, c2r), varpi), 0.5 * t * (t * r * q1r))
+    q1r, c2r, _ = c.kernels
+    return Point(t * _mul(_A_over_r(r, c2r), c.varpi), 0.5 * t * (t * r * q1r))
 
 
 def to_polar(p):
@@ -246,15 +258,20 @@ def to_polar(p):
         return Polar(nxi, p.xi / nxi, 0.0)
     rmag = special.invert_phi(a)
     r = math.copysign(rmag, p.z)
+    kernels = None
     if rmag > math.pi:
         # sin(r/2) vanishes at 2*pi, so near the center it amplifies the
         # rounding of r; the height z = t^2 r q1(r)/2 gives t without it.
-        t = math.sqrt(2.0 * abs(p.z) / (rmag * _at(rmag)[0]))
+        kernels = _at(rmag)
+        t = math.sqrt(2.0 * abs(p.z) / (rmag * kernels[0]))
     else:
         t = rmag * nxi / (2.0 * math.sin(0.5 * rmag))
     # xi = t sinc(r/2) e^(i r/2) varpi with sinc(r/2) > 0, so the direction
     # of xi rotated back is varpi: no 1/t, which can underflow.
-    return Polar(t, _mul(cmath.exp(-0.5j * r), p.xi / nxi), r)
+    c = Polar(t, _mul(cmath.exp(-0.5j * r), p.xi / nxi), r)
+    if kernels is not None:
+        vars(c)["kernels"] = kernels        # the kernels are even in r
+    return c
 
 
 def cc_distance(p):
@@ -288,15 +305,6 @@ def _complement(varpi):
     return out.reshape(-1, n).view(float)
 
 
-def _sphere_basis(varpi):
-    """Orthonormal basis of the tangent space of the sphere at varpi, as rows.
-
-    J varpi first, then the complement of span(varpi, J varpi); the layout
-    of the sphere columns of ``jacobian``.
-    """
-    return np.vstack((_J(varpi), _complement(varpi)))
-
-
 def jacobian(c):
     """Differential of Phi at (t, varpi, r) and its determinant.
 
@@ -313,7 +321,7 @@ def jacobian(c):
     n = c.n
     dim = 2 * n + 1
     varpi = c.varpi
-    q1r, c2r, _ = _at(r)
+    q1r, c2r, _ = c.kernels
     Aor = _A_over_r(r, c2r)
 
     cols = np.empty((dim, dim))
@@ -321,7 +329,8 @@ def jacobian(c):
     cols[:-1, 0] = _mul(Aor, varpi)
     cols[-1, 0] = t * r * q1r
     # sphere columns, along J varpi and the complement of (varpi, J varpi)
-    cols[:-1, 1:-1] = _mul(t * Aor, _sphere_basis(varpi)).T
+    cols[:-1, 1] = _mul(t * Aor, _J(varpi))
+    cols[:-1, 2:-1] = _mul(t * Aor, c.complement).T
     cols[-1, 1:-1] = 0.0
     # d/dr column
     cols[:-1, -1] = (t / r) * _mul(_A_prime_minus_A_over_r(r, c2r, q1r), varpi)
@@ -348,7 +357,7 @@ def grad_delta(p):
         raise ValueError("grad_delta: undefined on the center xi = 0")
     c = to_polar(p)
     v_xi = _mul(cmath.exp(1j * c.r), c.varpi)
-    v_z = 0.25 * c.t * c.r * _at(c.r)[1]
+    v_z = 0.25 * c.t * c.r * c.kernels[1]
     return TangentVec(base=p, v_xi=v_xi, v_z=v_z)
 
 
@@ -374,8 +383,8 @@ def frame(c):
         raise ValueError("frame: requires t > 0 and 0 < |r| < 2*pi")
     n = c.n
     varpi = c.varpi
-    q1r, c2r, m3r = _at(r)
-    point = _point(t, varpi, r, q1r, c2r)
+    q1r, c2r, m3r = c.kernels
+    point = from_polar(c)
     Aor = _A_over_r(r, c2r)
     Jvarpi = _J(varpi)
     rwr = special._rw(r, q1r, c2r, m3r)
@@ -388,7 +397,7 @@ def frame(c):
     v1 = TangentVec(base=point, v_xi=_mul(cmath.exp(1j * r), varpi), v_z=0.25 * t * r * c2r)
     xi2 = _mul(-1j * rvr * Aor + ww * _A_prime_minus_A_over_r(r, c2r, q1r), varpi)
     v2 = TangentVec(base=point, v_xi=xi2, v_z=-0.5 * t * rwr * (2.0 * q1r - 0.5 * c2r))
-    wdirs = _complement(varpi)
+    wdirs = c.complement
     # A W / |A| = e^(i r/2) W, as sin(r/2) has the sign of r on 0 < |r| < 2 pi
     vecs = [v1, v2] + [TangentVec(base=point, v_xi=vj, v_z=0.0)
                        for vj in _mul(cmath.exp(0.5j * r), wdirs)]

@@ -217,7 +217,7 @@ def separable_quotient(u, cone, variant="full", rtol=1e-10):
 
     if not den > 0.0:
         raise ValueError("separable_quotient: denominator is not positive")
-    return num / den
+    return float(num / den)
 
 
 def radial_sequence_quotient(k):
@@ -238,7 +238,7 @@ def radial_sequence_quotient(k):
         return np.stack([np.full_like(s, 1.0 / (lnk * lnk)), (1.0 - np.abs(s) / lnk) ** 2])
 
     num, den = integrate(parts, -lnk, lnk).value
-    return num / den
+    return float(num / den)
 
 
 def koranyi_upper_bound(n, rtol=1e-12):
@@ -259,7 +259,7 @@ def koranyi_upper_bound(n, rtol=1e-12):
         return np.stack([den * special._eta(r, *kernels), den])
 
     top, bot = integrate(parts, 0.0, TWO_PI, rtol).value
-    return n * n * top / bot
+    return float(n * n * top / bot)
 
 
 def default_gamma_schedule(count=12):
@@ -570,7 +570,7 @@ def garofalo_weight(p):
     c = geometry.to_polar(p)
     if float(np.linalg.norm(p.xi)) == 0.0:
         raise ValueError("garofalo_weight: undefined on the center")
-    return special.eta(c.r) / (c.t * c.t)
+    return special._eta(c.r, *c.kernels) / (c.t * c.t)
 
 
 def euclid_quotient(d, a, gam, rtol=1e-10):
@@ -605,7 +605,7 @@ def euclid_quotient(d, a, gam, rtol=1e-10):
                          c ** (2.0 * gam) * (s / c) * c ** (d - 2)])
 
     num, den = integrate(phi_parts, a, 0.5 * math.pi, rtol, singularity=sing).value
-    return num / den
+    return float(num / den)
 
 
 def euclid_cone_lower_bound(d, a):

@@ -202,32 +202,23 @@ def _asymptotic_start(a):
                     TWO_PI - np.sqrt(math.pi * np.minimum(a, _PHI_ASYMPTOTE_SWITCH)))
 
 
-def _phi_newton(r, a):
-    """Newton on log phi - log a from the starts r; the roots of phi = a."""
-    out = np.empty_like(r)
-    idx = np.arange(r.size)
-    last = np.full_like(r, np.inf)
-    rtol = 4.0 * np.finfo(float).eps
-    # Terminates: every element still iterating has a strictly smaller step.
-    while idx.size:
-        q1, c2, m3 = _kernels(r)
-        rq1 = r * q1
-        new = np.minimum(np.maximum(r + np.log(2.0 * c2 / rq1 / a) * (rq1 * c2) / (2.0 * m3),
-                                    0.5 * r), 0.5 * (r + TWO_PI))
-        step = np.abs(new - r)
-        out[idx] = new
-        keep = (step > rtol * r) & (step < last)
-        idx, a, r, last = idx[keep], a[keep], new[keep], step[keep]
-    return out
+def _phi_step(r, a):
+    """One Newton step on log phi - log a from r, clipped inside (r/2, (r + 2*pi)/2)."""
+    q1, c2, m3 = _kernels(r)
+    rq1 = r * q1
+    return np.minimum(np.maximum(r + np.log(2.0 * c2 / rq1 / a) * (rq1 * c2) / (2.0 * m3),
+                                 0.5 * r), 0.5 * (r + TWO_PI))
 
 
 # Newton starts for a in [1e-9, e^35 1e-9 ~ 1.6e6): the logit
 # G = log(r/(2*pi - r)) of the root against y = log a, one polynomial of
 # degree 8 per unit interval of y, interpolated at import at 9 Chebyshev
-# nodes per piece from roots that Newton finds from the asymptotes.  G is
-# linear in y at both ends (slopes -1 and -1/2), so r = 2*pi/(1 + e^-G)
-# and 2*pi - r are both accurate: the start is within 3e-9 of the root in
-# G, and Newton stops after one or two steps.
+# nodes per piece from roots that _PHI_TABLE_STEPS Newton steps reach from
+# the asymptotes (the error falls 3e-3, 4e-6, 1e-11, 2e-15).  G is linear
+# in y at both ends (slopes -1 and -1/2), so r = 2*pi/(1 + e^-G) and
+# 2*pi - r are both accurate: the start is within 3.1e-9 of the root in G,
+# and one Newton step lands within the rounding of the kernels.
+_PHI_TABLE_STEPS = 4
 _PHI_TABLE_START = 1e-9
 _PHI_TABLE_PIECES = 35
 _PHI_TABLE_Y0 = math.log(_PHI_TABLE_START)
@@ -237,9 +228,12 @@ _PHI_TABLE_END = math.exp(_PHI_TABLE_Y0 + _PHI_TABLE_PIECES)
 def _phi_logit_table():
     """Horner coefficients of G, shape (9, pieces), highest power first."""
     nodes = np.cos((np.arange(9) + 0.5) * math.pi / 9)
-    a = np.exp(_PHI_TABLE_Y0 + np.arange(_PHI_TABLE_PIECES)[:, None] + 0.5 * (nodes + 1.0))
-    r = _phi_newton(_asymptotic_start(a.ravel()), a.ravel())
-    logit = np.log(r / (TWO_PI - r)).reshape(a.shape)
+    a = np.exp(_PHI_TABLE_Y0 + np.arange(_PHI_TABLE_PIECES)[:, None]
+               + 0.5 * (nodes + 1.0)).ravel()
+    r = _asymptotic_start(a)
+    for _ in range(_PHI_TABLE_STEPS):
+        r = _phi_step(r, a)
+    logit = np.log(r / (TWO_PI - r)).reshape(_PHI_TABLE_PIECES, 9)
     return np.linalg.solve(nodes[:, None] ** np.arange(8, -1, -1), logit.T)
 
 
@@ -255,35 +249,36 @@ def _newton_start(a):
     logit = coef[0]
     for c in coef[1:]:
         logit = logit * u + c
-    return np.where((a >= _PHI_TABLE_START) & (a < _PHI_TABLE_END),
-                    TWO_PI / (1.0 + np.exp(-logit)), _asymptotic_start(a))
+    start = TWO_PI / (1.0 + np.exp(-logit))
+    outside = (a < _PHI_TABLE_START) | (a >= _PHI_TABLE_END)
+    if outside.any():
+        start[outside] = _asymptotic_start(a[outside])
+    return start
 
 
 def invert_phi(a):
     """Solve phi(r) = a for r in (0, 2*pi], given a in [0, inf].
 
     Accepts scalars or arrays.  a = 0 gives 2*pi and a = inf gives 0.
-    Elsewhere Newton's method on log phi(r) - log a runs over the whole
-    array.  For a in [1e-9, 1.6e6] it starts from a table of the logit
-    log(r/(2*pi - r)) of the root against log a (piecewise polynomials
-    built at import, within 3e-9 of the root's logit), beyond it from the
-    asymptotic inverses r = 12/a (phi ~ 12/r at r -> 0) and
-    r = 2*pi - sqrt(pi a) (phi ~ (2*pi - r)^2/pi at 2*pi), which are
-    within 1.3e-10 there.  Each iteration makes one ``_kernels`` call for
-    q1, c2 and m3:
+    Elsewhere r is one Newton step on log phi(r) - log a, over the whole
+    array in one ``_kernels`` call for q1, c2 and m3:
 
         log phi = log(2 c2 / (r q1)),   d log phi / dr = -2 m3 / (r q1 c2),
 
-    and log phi - log a is taken as the log of the ratio phi/a, which is
-    near 1, so the rounding of log a itself (1e-13 at a = 1e300) stays out.
-    Steps are clipped inside (0, 2*pi).  An element stops when its step is
-    at most 4 eps |r| -- a relative test, so r ~ 12/a holds up to the
-    largest float -- or is no smaller than its previous step, which happens
-    only at the rounding level of log phi.  A solve takes one or two
-    ``_kernels`` calls (1.55 on average over a in [1e-6, 1e4]), more where
-    the rounding of q1 keeps the last step above 4 eps |r| (roots in
-    [0.5, 1.2]).  r is as accurate as the kernels allow: a few ulps, and up
-    to ~27 ulps (6e-15) just above the series switch of q1 (r ~ 0.52).
+    with log phi - log a taken as the log of the ratio phi/a, which is near
+    1, so the rounding of log a itself (1e-13 at a = 1e300) stays out, and
+    the step clipped inside (0, 2*pi).  One step suffices because the start
+    is already close: for a in [1e-9, 1.6e6] it comes from a table of the
+    logit log(r/(2*pi - r)) of the root against log a (piecewise
+    polynomials built at import, within 3.1e-9 of the root's logit), beyond
+    it from the asymptotic inverses r = 12/a (phi ~ 12/r at r -> 0) and
+    r = 2*pi - sqrt(pi a) (phi ~ (2*pi - r)^2/pi at 2*pi), which are within
+    1.3e-10 there.  Newton squares that error, to far below the rounding of
+    the kernels, so a second step would only move r by the rounding of phi
+    at r: a few ulps, and up to 48 ulps (1e-14) on [0.5, 2), where q1 and
+    m3 cancel just above the series switch.  r is as accurate as the
+    kernels allow: a few ulps, and up to ~27 ulps (6e-15) just above the
+    series switch of q1 (r ~ 0.52).
 
     Raises
     ------
@@ -291,13 +286,13 @@ def invert_phi(a):
         for negative or NaN input.
     """
     arr = np.asarray(a, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+    if not (arr >= 0.0).all():         # negative or NaN
         raise ValueError("invert_phi: a must be in [0, inf]")
     flat = arr.reshape(-1)
     out = np.where(flat == 0.0, TWO_PI, 0.0)
     idx = np.flatnonzero((flat > 0.0) & (flat < np.inf))
     aa = flat[idx]
-    out[idx] = _phi_newton(_newton_start(aa), aa)
+    out[idx] = _phi_step(_newton_start(aa), aa)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the group operations, polar coordinates, frame, and geodesics."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -427,20 +428,46 @@ def test_complement_completes_an_orthonormal_basis(n):
         assert abs(det - ref) < 1e-10 * ref
 
 
-def test_frame_and_jacobian_evaluate_each_kernel_once(monkeypatch):
-    calls = []
-    kernels = geometry._kernels
+def test_each_polar_evaluates_its_kernels_once(monkeypatch):
+    calls = {"kernels": 0, "complement": 0}
+    kernels, complement = geometry._kernels, geometry._complement
 
-    def counted(r):
-        calls.append(r.size)
+    def uncounted(r):
+        return tuple(float(k[0]) for k in kernels(np.array([r])))
+
+    def counted_kernels(r):
+        calls["kernels"] += 1
         return kernels(r)
 
-    monkeypatch.setattr(geometry, "_kernels", counted)
+    def counted_complement(varpi):
+        calls["complement"] += 1
+        return complement(varpi)
+
+    monkeypatch.setattr(geometry, "_kernels", counted_kernels)
+    monkeypatch.setattr(geometry, "_complement", counted_complement)
     c = Polar(t=1.3, varpi=_unit(2), r=2.0)
-    for fn in (frame, jacobian, from_polar):
-        calls.clear()
+    for fn in (from_polar, frame, jacobian, koranyi_polar):
         fn(c)
-        assert calls == [1], fn.__name__
+    assert calls == {"kernels": 1, "complement": 1}
+    # replace makes a new triple, with kernels of its own
+    assert dataclasses.replace(c, r=-1.0).kernels == uncounted(-1.0)
+    assert calls["kernels"] == 2
+    # inside r = pi, grad_delta reads the kernels of the triple it builds
+    p = from_polar(Polar(t=0.8, varpi=_unit(2), r=-2.5))
+    calls["kernels"] = 0
+    grad_delta(p)
+    assert calls["kernels"] == 1
+    # past r = pi, to_polar evaluates the kernels for t and hands them on
+    p = from_polar(Polar(t=0.8, varpi=_unit(2), r=-5.0))
+    calls["kernels"] = 0
+    c = to_polar(p)
+    assert calls["kernels"] == 1
+    for fn in (from_polar, frame, jacobian, koranyi_polar):
+        fn(c)
+    assert calls["kernels"] == 1
+    assert c.kernels == uncounted(c.r)
+    grad_delta(p)
+    assert calls["kernels"] == 2
 
 
 def test_frame_polar_forms_push_forward():

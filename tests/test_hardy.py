@@ -249,6 +249,16 @@ def test_koranyi_upper_bound_matches_oracle(n):
     assert val < n * n * (1.0 - 0.01)
 
 
+def test_scalar_results_are_python_floats():
+    cone = ConeSpec.from_alpha(1, 4.0)
+    u = SeparableFn(g=bump_profile(0.5, 3.0), h=smoothstep_profile(cone.rho, 1.0))
+    p = geometry.from_polar(geometry.Polar(1.5, np.array([0.6, 0.8]), 2.0))
+    values = [separable_quotient(u, cone), radial_sequence_quotient(16),
+              koranyi_upper_bound(1), cone_bounds(cone).koranyi_upper,
+              euclid_quotient(3, 0.5, 1.0), garofalo_weight(p)]
+    assert [type(x) for x in values] == [float] * len(values)
+
+
 def test_mu_integral_oracle():
     got = integrate(lambda r: special.mu(r, 1), 0.0, TWO_PI, rtol=1e-13).value
     assert abs(got - MU_INTEGRAL_N1) < 1e-13

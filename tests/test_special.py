@@ -381,10 +381,9 @@ def test_blocked_functions_are_bit_equal_to_one_element_calls():
         np.testing.assert_array_equal(_bits(got.reshape(-1)), _bits(ref[1:]))
 
 
-def test_invert_phi_takes_about_two_kernel_calls(monkeypatch):
-    # Started from the tabulated logit, Newton's first step lands within
-    # rounding of the root and the second confirms it; from the asymptotes
-    # 12/a and 2*pi - sqrt(pi a) a solve took 3.5 calls on average.
+def test_invert_phi_makes_one_kernel_call(monkeypatch):
+    # One Newton step from the tabulated start or the asymptotes, for a
+    # scalar or a whole array; 0 and inf need no step of their own.
     calls = []
     kernels = special._kernels
 
@@ -393,10 +392,39 @@ def test_invert_phi_takes_about_two_kernel_calls(monkeypatch):
         return kernels(r)
 
     monkeypatch.setattr(special, "_kernels", counted)
-    a = np.exp(np.random.default_rng(11).uniform(math.log(1e-6), math.log(1e4), 400))
-    for x in a:
-        invert_phi(float(x))
-    assert len(calls) <= 2 * a.size
+    table = np.exp(np.random.default_rng(11).uniform(math.log(1e-9), math.log(1.6e6), 200))
+    beyond = np.array([1e-300, 1e-20, 3e-10, 2e6, 1e20, 1e300])
+    for x in [1.7, 1e-300, 1e300]:
+        calls.clear()
+        invert_phi(x)
+        assert calls == [1], x
+    for a in (table, beyond, np.concatenate(([0.0, math.inf], table, beyond, [0.0]))):
+        calls.clear()
+        invert_phi(a)
+        assert calls == [np.count_nonzero((a > 0.0) & (a < math.inf))]
+
+
+@settings(deadline=None)
+@given(a=_LOG_UNIFORM_A)
+def test_a_second_newton_step_moves_invert_phi_by_rounding_only(a):
+    # The start is within 3.1e-9 (table) or 1.3e-10 (asymptotes) of the
+    # root, and Newton squares that, so a second step only sees the rounding
+    # of phi at r: a few ulps, and up to 48 ulps (1.0e-14 relative) on
+    # [0.5, 2), where q1 and m3 cancel just above the series switch.
+    r = invert_phi(a)
+    again = float(special._phi_step(np.array([r]), np.array([a]))[0])
+    if 0.5 <= r < 2.0:
+        assert abs(again - r) <= 2e-14 * r
+    else:
+        assert abs(again - r) <= 8 * math.ulp(r)
+
+
+def test_invert_phi_table_start_is_close_to_the_root_logit():
+    a = np.exp(np.linspace(special._PHI_TABLE_Y0, math.log(special._PHI_TABLE_END), 200_001))
+    start = special._newton_start(a[:-1])
+    root = invert_phi(a[:-1])
+    gap = np.log(start / (TWO_PI - start)) - np.log(root / (TWO_PI - root))
+    assert np.max(np.abs(gap)) <= 3.1e-9
 
 
 def test_eval_weights_does_not_alias_its_input():
