@@ -203,7 +203,7 @@ def koranyi_polar(c):
 
 def _at(r):
     """The kernels q1, c2, m3 at the scalar r, as three floats."""
-    return tuple(float(k[0]) for k in _kernels(np.atleast_1d(r)))
+    return tuple(float(k) for k in _kernels(np.float64(r)))
 
 def _A_over_r(r, c2r):
     """A(r)/r = sinc(r/2) e^(i r/2) from c2(r) = sinc(r/2)^2, removable at r = 0;

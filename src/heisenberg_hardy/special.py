@@ -36,7 +36,8 @@ layers:
 All public functions accept scalars or arrays and are vectorized in ``r``;
 the named functions are one call of the driver ``_weights``, which runs the
 kernels and the weights on blocks of _BLOCK values, so the temporaries stay
-in cache, and a scalar is a block of one.
+in cache, and a scalar is a block of one.  ``_kernels`` and ``invert_phi``
+keep a scalar a numpy scalar instead, bit-equal to the array result.
 """
 
 import math
@@ -68,7 +69,7 @@ _BLOCK = 16384
 
 
 def _kernels(r):
-    """The kernels (q1, c2, m3) at the float array r, from one tangent per value.
+    """The kernels (q1, c2, m3) at the array or numpy scalar r, one tangent per value.
 
     All three are even, so they are taken at a = |r|.  With h = a/2 and
     t = tan h, sin a = 2t/(1 + t^2) and c2 = sin(h)^2/h^2 = (t/h)^2/(1 + t^2),
@@ -85,34 +86,35 @@ def _kernels(r):
     1 ulp) overwrites the closed forms (they give nan at r = 0 and x = r^2
     underflows at tiny r, hence the ignored errors); when every |r| is
     below the switch the closed forms are skipped.  Each value depends
-    only on its own r, so a batch is bit-equal to one-element calls.
+    only on its own r, so a batch is bit-equal to one-element calls; a
+    numpy scalar stays one (numpy's scalar math, no one-element arrays),
+    bit-equal to the one-element call.
     """
-    a = np.abs(r).reshape(-1)
+    a = np.abs(r)
     with np.errstate(all="ignore"):
         a2 = a * a
         if a.max(initial=0.0) < SERIES_SWITCH:
-            return tuple(_series(a2).reshape((3,) + r.shape))
-        kernels = np.empty((3, a.size))
-        q1, c2, m3 = kernels
+            return tuple(_series(a2.reshape(-1)).reshape((3,) + a.shape))
         h = 0.5 * a
         t = np.tan(h)
         sec2 = t * t
         sec2 += 1.0
-        np.divide(t, h, out=c2)
+        c2 = t / h
         c2 *= c2
         c2 /= sec2
         t /= sec2                       # sin(a)/2
-        np.subtract(h, t, out=q1)       # (a - sin a)/2
+        q1 = h - t                      # (a - sin a)/2
         t /= h                          # sin(a)/a
-        np.subtract(c2, t, out=m3)
+        m3 = c2 - t
         m3 /= a2
         h *= a2                         # a^3/2
         q1 /= h
-        small = (a < SERIES_SWITCH).nonzero()[0]
-        if small.size:
-            for row, series in zip(kernels, _series(a2[small])):
-                row[small] = series
-    return tuple(kernels.reshape((3,) + r.shape))
+        if a.ndim:                      # a scalar here is at or above the switch
+            small = (a < SERIES_SWITCH).nonzero()
+            if small[0].size:
+                for row, series in zip((q1, c2, m3), _series(a2[small])):
+                    row[small] = series
+    return q1, c2, m3
 
 
 def _series(x):
@@ -252,14 +254,15 @@ def _newton_start(a):
     start = TWO_PI / (1.0 + np.exp(-logit))
     outside = (a < _PHI_TABLE_START) | (a >= _PHI_TABLE_END)
     if outside.any():
-        start[outside] = _asymptotic_start(a[outside])
+        start = np.where(outside, _asymptotic_start(a), start)
     return start
 
 
 def invert_phi(a):
     """Solve phi(r) = a for r in (0, 2*pi], given a in [0, inf].
 
-    Accepts scalars or arrays.  a = 0 gives 2*pi and a = inf gives 0.
+    Accepts scalars (run on numpy scalars, bit-equal to arrays) or arrays.
+    a = 0 gives 2*pi and a = inf gives 0, for a scalar without any work.
     Elsewhere r is one Newton step on log phi(r) - log a, over the whole
     array in one ``_kernels`` call for q1, c2 and m3:
 
@@ -288,12 +291,17 @@ def invert_phi(a):
     arr = np.asarray(a, dtype=float)
     if not (arr >= 0.0).all():         # negative or NaN
         raise ValueError("invert_phi: a must be in [0, inf]")
+    if arr.ndim == 0:
+        x = arr[()]
+        if x == 0.0 or x == math.inf:
+            return TWO_PI if x == 0.0 else 0.0
+        return float(_phi_step(_newton_start(x), x))
     flat = arr.reshape(-1)
     out = np.where(flat == 0.0, TWO_PI, 0.0)
     idx = np.flatnonzero((flat > 0.0) & (flat < np.inf))
     aa = flat[idx]
     out[idx] = _phi_step(_newton_start(aa), aa)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return out.reshape(arr.shape)
 
 
 def mu(r, n=1):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heisenberg_hardy import special
+from heisenberg_hardy import geometry, special
 from heisenberg_hardy.special import (
     TWO_PI,
     check_identities,
@@ -402,6 +402,41 @@ def test_invert_phi_makes_one_kernel_call(monkeypatch):
         calls.clear()
         invert_phi(a)
         assert calls == [np.count_nonzero((a > 0.0) & (a < math.inf))]
+    for x, made in [(0.0, []), (math.inf, []), (1.7, [1])]:
+        calls.clear()
+        assert type(invert_phi(x)) is float
+        assert calls == made, x
+    assert all(type(k) is float for k in geometry._at(np.float64(1.7)))
+    assert all(type(k) is float for k in geometry._at(0.0))
+
+
+def _assert_scalar_kernels(r):
+    # A numpy scalar stays one through _kernels: three np.float64, bit-equal
+    # to the one-element array call, and silent even when the caller raises.
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels = special._kernels(np.float64(r))
+    for k, ref in zip(kernels, special._kernels(np.array([r]))):
+        assert type(k) is np.float64
+        np.testing.assert_array_equal(_bits([k]), _bits(ref))
+
+
+@pytest.mark.parametrize("r", _EXTREME_R)
+def test_scalar_kernels_are_numpy_scalars_at_extreme_arguments(r):
+    _assert_scalar_kernels(r)
+
+
+@settings(deadline=None)
+@given(r=st.floats(-TWO_PI, TWO_PI))
+def test_scalar_kernels_are_numpy_scalars_bit_equal_to_arrays(r):
+    _assert_scalar_kernels(r)
+
+
+def test_kernels_on_a_transposed_array_match_its_copy():
+    # The series overwrite indexes by position, whatever the memory order.
+    nd = np.array([0.0, 0.1, -0.2, 0.7, -3.0, TWO_PI]).reshape(2, 3).T
+    for got, ref in zip(special._kernels(nd), special._kernels(nd.copy())):
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
 
 
 @settings(deadline=None)
