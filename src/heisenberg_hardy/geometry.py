@@ -71,12 +71,10 @@ class Polar:
         object.__setattr__(self, "varpi", varpi)
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "r", float(self.r))
-        if self.t < 0.0:
-            raise ValueError("Polar: t must be non-negative")
-        if abs(self.r) > TWO_PI:
-            raise ValueError("Polar: |r| must not exceed 2*pi")
+        if not (0.0 <= self.t < math.inf and abs(self.r) <= TWO_PI):    # NaN fails
+            raise ValueError("Polar: requires finite t >= 0 and |r| <= 2*pi")
         nrm = math.hypot(*varpi)
-        if self.t > 0.0 and abs(nrm - 1.0) > 1e-12:
+        if self.t > 0.0 and not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"Polar: varpi must be unit (|varpi| = {nrm!r})")
 
     @property
@@ -241,20 +239,20 @@ def to_polar(p):
 
     On the center (xi = 0) the angle saturates at r = sign(z) 2*pi and
     varpi is reported as the first coordinate direction.  The zero point
-    maps to t = 0.
+    maps to t = 0.  Raises ValueError for non-finite xi or z.
     """
     nxi = math.hypot(*p.xi)         # no overflow of |xi|^2
+    if not (math.isfinite(nxi) and math.isfinite(p.z)):
+        raise ValueError("to_polar: xi and z must be finite")
     if nxi == 0.0:
         e1 = np.zeros(p.xi.size)
         e1[0] = 1.0
         if p.z == 0.0:
             return Polar(0.0, e1, 0.0)
         return Polar(math.sqrt(4.0 * math.pi * abs(p.z)), e1, math.copysign(TWO_PI, p.z))
-    if p.z == 0.0:
-        return Polar(nxi, p.xi / nxi, 0.0)
 
-    a = nxi * (nxi / abs(p.z))
-    if math.isinf(a):
+    a = nxi * (nxi / abs(p.z)) if p.z else math.inf
+    if math.isinf(a):                   # on the plane z = 0, or a overflows
         return Polar(nxi, p.xi / nxi, 0.0)
     rmag = special.invert_phi(a)
     r = math.copysign(rmag, p.z)

@@ -33,27 +33,21 @@ class ConeSpec:
     rho: float
 
     def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError("ConeSpec: n must be a positive integer")
+        object.__setattr__(self, "n", special._dimension(self.n))
         if not 0.0 <= self.rho <= TWO_PI:
             raise ValueError("ConeSpec: rho must lie in [0, 2*pi]")
-        if self.alpha < 0.0:
-            raise ValueError("ConeSpec: alpha must be non-negative")
+        if not self.alpha >= 0.0:
+            raise ValueError("ConeSpec: alpha must be in [0, inf]")
 
     @classmethod
     def from_alpha(cls, n, alpha):
-        alpha = float(alpha)
-        if math.isnan(alpha) or alpha < 0.0:
-            raise ValueError("ConeSpec: alpha must be in [0, inf]")
-        return cls(n=int(n), alpha=alpha, rho=special.invert_phi(alpha))
+        return cls(n=n, alpha=float(alpha), rho=special.invert_phi(alpha))
 
     @classmethod
     def from_rho(cls, n, rho):
         rho = float(rho)
-        if not 0.0 <= rho <= TWO_PI:
-            raise ValueError("ConeSpec: rho must lie in [0, 2*pi]")
         alpha = math.inf if rho == 0.0 else special.eval_phi(rho)
-        return cls(n=int(n), alpha=alpha, rho=rho)
+        return cls(n=n, alpha=alpha, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -145,8 +139,11 @@ class SeparableFn:
 
 _VARIANTS = ("full", "radial", "perp", "perp_weighted", "garofalo")
 
+_RTOL = 1e-10               # relative quadrature tolerance of the quotients and checks
+_KORANYI_RTOL = 1e-12       # and of the gauge bound
 
-def separable_quotient(u, cone, variant="full", rtol=1e-10):
+
+def separable_quotient(u, cone, variant="full"):
     """Rayleigh quotient of a separable function on a cone.
 
     Numerators (measure t^(2n+1) mu(r) dt dr, sphere factor cancelled):
@@ -160,7 +157,7 @@ def separable_quotient(u, cone, variant="full", rtol=1e-10):
     Denominators: int u^2 / delta^2, except perp_weighted (int u^2 psi /
     delta^2) and garofalo (int u^2 |grad N|^2 / N^2, i.e. the eta weight).
 
-    Two ``integrate`` calls, each to relative tolerance ``rtol``: the three
+    Two ``integrate`` calls, each to relative tolerance _RTOL: the three
     t-integrals, and the four r-integrals of the full numerator plus the
     variant's own (so full, radial and perp share their r-integrals bit for
     bit).  ``u.h`` must be supported in {r > rho}.
@@ -199,8 +196,8 @@ def separable_quotient(u, cone, variant="full", rtol=1e-10):
             parts.append(hv * hv * special._eta(r, *kernels) * muv)
         return np.stack(parts)
 
-    i_gp2, i_ggp, i_g2 = integrate(t_parts, t0, t1, rtol).value
-    j_h2, j_rhhp, j_r2hp2, j_perp, *extra = integrate(r_parts, r0, r1, rtol).value
+    i_gp2, i_ggp, i_g2 = integrate(t_parts, t0, t1, _RTOL).value
+    j_h2, j_rhhp, j_r2hp2, j_perp, *extra = integrate(r_parts, r0, r1, _RTOL).value
 
     radial_num = i_gp2 * j_h2 + 2.0 * i_ggp * j_rhhp + i_g2 * j_r2hp2
     perp_num = i_g2 * j_perp
@@ -241,24 +238,22 @@ def radial_sequence_quotient(k):
     return float(num / den)
 
 
-def koranyi_upper_bound(n, rtol=1e-12):
+def koranyi_upper_bound(n):
     """Upper bound for the Hardy constant from the Koranyi-gauge ansatz.
 
     Returns n^2 * int_0^2pi gamma^(-2n) eta mu dr / int_0^2pi gamma^(-2n)
     mu dr (the +-r integrands coincide, so only (0, 2*pi) is integrated),
-    both integrals in one ``integrate`` call.  Strictly below n^2 because
-    eta < 1 away from r = 0.
+    both integrals in one ``integrate`` call to relative tolerance
+    _KORANYI_RTOL.  Strictly below n^2 because eta < 1 away from r = 0.
     """
-    if n < 1 or n != int(n):
-        raise ValueError("koranyi_upper_bound: n must be a positive integer")
-    n = int(n)
+    n = special._dimension(n)
 
     def parts(r):
         kernels = special._kernels(r)
         den = special._gamma(r, *kernels) ** (-2 * n) * special._mu(r, *kernels, n)
         return np.stack([den * special._eta(r, *kernels), den])
 
-    top, bot = integrate(parts, 0.0, TWO_PI, rtol).value
+    top, bot = integrate(parts, 0.0, TWO_PI, _KORANYI_RTOL).value
     return float(n * n * top / bot)
 
 
@@ -528,7 +523,7 @@ def sl_perp_estimate(cone, grid_n=1024, weighted=True):
 # Annulus identity, Garofalo weight, Euclidean appendix
 # ----------------------------------------------------------------------
 
-def annulus_identity_check(f, r1, r2, cone_n=1, rtol=1e-10):
+def annulus_identity_check(f, r1, r2, cone_n=1):
     """Residual of the annulus integration identity for a separable f.
 
     Both sides of
@@ -538,23 +533,22 @@ def annulus_identity_check(f, r1, r2, cone_n=1, rtol=1e-10):
 
     for f o Phi = g(t) h(r); the r-integral runs over the full angle range
     (-2*pi, 2*pi) intersected with the support of h, and the sphere factor
-    is the area of S^(2n-1).  Returns the relative residual (absolute when
-    both sides vanish).
+    is the area of S^(2n-1).  Both integrals run to relative tolerance
+    _RTOL.  Returns the relative residual (absolute when both sides vanish).
     """
     if not 0.0 < r1 < r2:
         raise ValueError("annulus_identity_check: requires 0 < R1 < R2")
-    n = int(cone_n)
     g = f.g
     h = f.h
     lo = max(-TWO_PI, h.support[0])
     hi = min(TWO_PI, h.support[1])
-    ih = integrate(lambda r: h.fn(r) * special.mu(r, n), lo, hi, rtol).value
-    area = sphere_area(n)
+    ih = integrate(lambda r: h.fn(r) * special.mu(r, cone_n), lo, hi, _RTOL).value
+    area = sphere_area(cone_n)
 
     g1 = float(np.asarray(g.fn(np.array([r1])))[0])
     g2 = float(np.asarray(g.fn(np.array([r2])))[0])
     lhs = (g2 - g1) * ih * area
-    rhs = integrate(lambda t: g.dfn(t), r1, r2, rtol).value * ih * area
+    rhs = integrate(lambda t: g.dfn(t), r1, r2, _RTOL).value * ih * area
     scale = max(abs(lhs), abs(rhs))
     if scale < 1e-13:
         return abs(lhs - rhs)
@@ -573,7 +567,7 @@ def garofalo_weight(p):
     return special._eta(c.r, *c.kernels) / (c.t * c.t)
 
 
-def euclid_quotient(d, a, gam, rtol=1e-10):
+def euclid_quotient(d, a, gam):
     """Weighted Euclidean cone quotient of u = eta(t) cos^gamma(phi).
 
     On the cone {phi > a} in R^d with the polar field Xi = (1/t) d/dphi and
@@ -582,10 +576,10 @@ def euclid_quotient(d, a, gam, rtol=1e-10):
         int |<grad u, Xi>|^2 / psi dx / int u^2 psi / t^2 dx = gamma^2,
 
     which this evaluates by honest quadrature of both angular integrals in
-    one call of ``integrate`` (the radial factor int eta(t)^2 t^(d-3) dt
-    is common to both and cancels); the angular integrands carry the local
-    power 2 gamma + d - 3 at phi = pi/2, handled by substitution when
-    negative.
+    one call of ``integrate`` to relative tolerance _RTOL (the radial factor
+    int eta(t)^2 t^(d-3) dt is common to both and cancels); the angular
+    integrands carry the local power 2 gamma + d - 3 at phi = pi/2, handled
+    by substitution when negative.
     """
     if d != int(d) or d < 3:
         raise ValueError("euclid_quotient: d must be an integer >= 3")
@@ -604,7 +598,7 @@ def euclid_quotient(d, a, gam, rtol=1e-10):
         return np.stack([(gam * c ** (gam - 1.0) * s) ** 2 * (c / s) * c ** (d - 2),
                          c ** (2.0 * gam) * (s / c) * c ** (d - 2)])
 
-    num, den = integrate(phi_parts, a, 0.5 * math.pi, rtol, singularity=sing).value
+    num, den = integrate(phi_parts, a, 0.5 * math.pi, _RTOL, singularity=sing).value
     return float(num / den)
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .special import _dimension
+
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature cannot reach the requested tolerance."""
@@ -490,7 +492,7 @@ def sphere_integral(f, n):
     plain number (constant).  Uses the classical Gamma-function monomial
     moments, so the only error is final rounding.
     """
-    dim = 2 * int(n)
+    dim = 2 * _dimension(n)
     if isinstance(f, SpherePoly):
         if f.dim != dim:
             raise ValueError("sphere_integral: polynomial dimension mismatch")
@@ -511,4 +513,4 @@ def sphere_surface_area(d):
 
 def sphere_area(n):
     """Surface area of S^(2n-1), the sphere of the horizontal slice of H^n."""
-    return sphere_surface_area(2 * int(n))
+    return sphere_surface_area(2 * _dimension(n))

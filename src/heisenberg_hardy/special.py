@@ -37,7 +37,10 @@ All public functions accept scalars or arrays and are vectorized in ``r``;
 the named functions are one call of the driver ``_weights``, which runs the
 kernels and the weights on blocks of _BLOCK values, so the temporaries stay
 in cache, and a scalar is a block of one.  ``_kernels`` and ``invert_phi``
-keep a scalar a numpy scalar instead, bit-equal to the array result.
+keep a scalar a numpy scalar instead, bit-equal to the array result.  The
+domain is r finite with |r| <= 2*pi and n a positive integer; other input
+raises ValueError (``hh`` exits 2), checked once: r in ``_kernels``, n in
+``_weights``.
 """
 
 import math
@@ -88,12 +91,16 @@ def _kernels(r):
     below the switch the closed forms are skipped.  Each value depends
     only on its own r, so a batch is bit-equal to one-element calls; a
     numpy scalar stays one (numpy's scalar math, no one-element arrays),
-    bit-equal to the one-element call.
+    bit-equal to the one-element call.  Raises ValueError unless every
+    |r| <= 2*pi (NaN fails): the one check of r, on the max the switch reads.
     """
     a = np.abs(r)
     with np.errstate(all="ignore"):
         a2 = a * a
-        if a.max(initial=0.0) < SERIES_SWITCH:
+        top = a.max(initial=0.0)
+        if not top <= TWO_PI:           # NaN fails too
+            raise ValueError(f"r must be finite with |r| <= 2*pi (max |r| = {float(top)!r})")
+        if top < SERIES_SWITCH:
             return tuple(_series(a2.reshape(-1)).reshape((3,) + a.shape))
         h = 0.5 * a
         t = np.tan(h)
@@ -127,6 +134,13 @@ def _series(x):
     return series
 
 
+def _dimension(n):
+    """n as an int, once it is checked to be a positive integer (NaN and inf fail)."""
+    if not (n >= 1 and n % 1 == 0):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def _weights(r, fns, n=1):
     """The weights fns at r: one array shaped like r per fn, or floats for a scalar r.
 
@@ -135,6 +149,7 @@ def _weights(r, fns, n=1):
     temporaries stay in cache; the weights are elementwise, so the result is
     bit-equal to one call over the whole array.  Poles give silent infinities.
     """
+    n = _dimension(n)
     arr = np.asarray(r, dtype=float)
     flat = arr.reshape(-1)
     out = np.empty((len(fns), flat.size))
@@ -183,12 +198,8 @@ def eval_phi(r):
         for r = 0, |r| > 2*pi, or non-finite input.
     """
     arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("phi: r must be finite")
     if np.any(arr == 0.0):
         raise ValueError("phi: r = 0 is a pole (phi ~ 12/r)")
-    if np.any(np.abs(arr) > TWO_PI):
-        raise ValueError("phi: |r| must not exceed 2*pi")
     return _weights(arr, [_phi])[0]
 
 
@@ -388,12 +399,6 @@ def eval_weights(r, n=1):
     with poles (phi, v, w) come back as +inf.
     """
     arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("eval_weights: r must be finite")
-    if np.any(np.abs(arr) > TWO_PI):
-        raise ValueError("eval_weights: |r| must not exceed 2*pi")
-    if n < 1 or n != int(n):
-        raise ValueError("eval_weights: n must be a positive integer")
     values = _weights(arr, [_pole(_phi), _pole(_v), _pole(_w), _mu, _gamma, _eta], n)
     names = ("phi", "v", "w", "mu", "gamma", "eta")
     # One copy, not the caller's array.

@@ -172,11 +172,22 @@ def test_output_file(tmp_path):
     ["euclid", "--d", "2", "--a", "0.5", "--gamma", "1.0"],
     ["curves", "--fn", "v", "--grid", "8"],
     ["to-polar", "--xi", "1,0,0", "--z", "0.0"],
+    ["eval", "--fn", "mu", "--r", "7"],
+    ["eval", "--fn", "gamma", "--r", "nan"],
+    ["eval", "--fn", "mu", "--r", "1", "--n", "0"],
+    ["eval", "--fn", "mu", "--r", "1", "--n", "-3"],
+    ["check", "identities", "--n", "0"],
+    ["check", "identities", "--n", "-2"],
+    ["check", "divergence", "--n", "0"],
+    ["check", "annulus", "--n", "0"],
+    ["from-polar", "--t", "nan", "--varpi", "1,0", "--r", "1"],
+    ["dist", "--xi", "inf,0", "--z", "1"],
 ], ids=lambda a: " ".join(a))
 def test_validation_errors_exit_2(args):
     proc = _run(args)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 def test_removed_tol_and_max_evals_exit_2(capsys):

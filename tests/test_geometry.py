@@ -176,6 +176,12 @@ def test_polar_validation():
         Polar(t=1.0, varpi=np.array([1.0, 0.0]), r=7.0)
     with pytest.raises(ValueError):
         Polar(t=1.0, varpi=np.array([2.0, 0.0]), r=1.0)
+    for t, r in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            Polar(t=t, varpi=np.array([1.0, 0.0]), r=r)
+    for xi, z in (([math.inf, 0.0], 1.0), ([math.nan, 0.0], 1.0), ([1.0, 0.0], math.nan)):
+        with pytest.raises(ValueError):
+            to_polar(Point(np.array(xi), z))
     with pytest.raises(ValueError):
         Point(xi=np.array([1.0, 0.0, 0.5]), z=0.0)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from heisenberg_hardy import geometry, hardy, special
+from heisenberg_hardy import geometry, hardy, numerics, special
 from heisenberg_hardy.hardy import (
     ConeSpec,
     Profile,
@@ -61,6 +61,22 @@ def test_cone_spec_roundtrip():
         ConeSpec.from_alpha(1, -1.0)
     with pytest.raises(ValueError):
         ConeSpec.from_rho(1, TWO_PI + 0.1)
+    with pytest.raises(ValueError):
+        ConeSpec(1, math.nan, 1.0)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, math.nan, math.inf])
+def test_every_entry_checks_n(n):
+    # n reaches special through _weights and is checked once per layer entry,
+    # before any int(n) could truncate 2.5 or overflow on inf
+    f = SeparableFn(constant_profile(1.0), constant_profile(1.0, (-TWO_PI, TWO_PI)))
+    for call in (lambda: special.mu(1.0, n), lambda: special.eval_weights(1.0, n),
+                 lambda: special.check_identities(n), lambda: koranyi_upper_bound(n),
+                 lambda: annulus_identity_check(f, 1.0, 2.0, cone_n=n),
+                 lambda: numerics.sphere_integral(1.0, n), lambda: numerics.sphere_area(n),
+                 lambda: ConeSpec.from_rho(n, 1.0)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_profiles_match_their_derivatives():

@@ -147,6 +147,18 @@ def test_phi_endpoint_conventions():
         eval_phi(math.nan)
 
 
+def test_every_weight_checks_the_domain_of_r():
+    # one check in _kernels: a scalar or an array entry outside |r| <= 2*pi,
+    # or NaN, raises; exactly +-2*pi is inside
+    for fn in (eval_phi, mu, rw, rv, w, v, gamma, eta, eval_weights):
+        for bad in (np.nextafter(TWO_PI, 7.0), -7.0, math.nan, math.inf, -math.inf):
+            for arg in (bad, np.array([1.0, bad])):
+                with pytest.raises(ValueError):
+                    fn(arg)
+        fn(np.array([TWO_PI, -TWO_PI]))
+        fn(-TWO_PI)
+
+
 def test_invert_phi_endpoints_and_errors():
     assert invert_phi(0.0) == TWO_PI
     assert invert_phi(math.inf) == 0.0
