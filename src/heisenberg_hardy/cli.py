@@ -179,7 +179,7 @@ def _random_polar(rng, n, t_range=(0.1, 10.0), r_min=1e-6, r_max=TWO_PI - 1e-6):
 def _cmd_eval(args):
     fn = args.fn
     r = args.r
-    n = args.n
+    n = special._dimension(args.n)     # read only by mu, checked for every fn
     if fn == "phi":
         value = special.eval_phi(r)
     elif fn == "mu":
@@ -191,7 +191,7 @@ def _cmd_eval(args):
 
 def _cmd_invert_phi(args):
     r = special.invert_phi(args.a)
-    if args.a == 0.0 or math.isinf(args.a):
+    if math.isinf(args.a):             # r = 0, where phi - a is inf - inf = nan
         resid = 0.0
     else:
         resid = abs(special.eval_phi(r) - args.a) / max(1.0, args.a)
@@ -560,6 +560,8 @@ def main(argv=None):
     try:
         if getattr(args, "grid", None) is not None and args.grid < 32:
             raise ValueError("--grid must be at least 32")
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError("--samples must be at least 1")
         report = args.func(args)
         text = dumps_csv(report) if args.format == "csv" else dumps_report(report)
     except (ValueError,) as exc:

@@ -46,8 +46,7 @@ class ConeSpec:
     @classmethod
     def from_rho(cls, n, rho):
         rho = float(rho)
-        alpha = math.inf if rho == 0.0 else special.eval_phi(rho)
-        return cls(n=n, alpha=alpha, rho=rho)
+        return cls(n=n, alpha=special.eval_phi(rho), rho=rho)
 
 
 @dataclass(frozen=True)
@@ -259,6 +258,9 @@ def koranyi_upper_bound(n):
 
 def default_gamma_schedule(count=12):
     """The sweep schedule gamma_k = -1/2 + 2^-k, k = 1..count."""
+    if not (count >= 1 and count % 1 == 0):
+        raise ValueError(
+            f"default_gamma_schedule: count must be a positive integer, got {count!r}")
     return [-0.5 + 2.0 ** (-k) for k in range(1, count + 1)]
 
 
@@ -303,7 +305,7 @@ def _sweep_tail_integral(n, gammas, b1, rtol):
 _BAND_WIDTH = 0.1   # smoothstep band of sharpness_sweep, as a share of 2*pi - rho
 
 
-def sharpness_sweep(cone, gammas=None, rtol=1e-10):
+def sharpness_sweep(cone, gammas=None):
     """Weighted perpendicular quotient R(gamma) of the sharpness family.
 
     For each gamma in (-1/2, 0] evaluates, with chi a C^1 smoothstep on
@@ -316,7 +318,7 @@ def sharpness_sweep(cone, gammas=None, rtol=1e-10):
     local power 2n(2 gamma + 1) - 1 at 2*pi, integrated with the matching
     substitution (``_sweep_tail_integral``).  Two ``integrate`` calls take
     the band integrals and the tails of all gammas, each to relative
-    tolerance ``rtol``.  R(gamma) >= n^2/4 with equality approached as
+    tolerance _RTOL.  R(gamma) >= n^2/4 with equality approached as
     gamma -> -1/2.
 
     Returns a list of (gamma, R) pairs in input order.
@@ -349,8 +351,8 @@ def sharpness_sweep(cone, gammas=None, rtol=1e-10):
         f = r * muv * (rwv * muv) ** (2.0 * gam)
         return np.concatenate([f * (cp * (rwv / r) - n * gam * cv) ** 2, cv * cv * f])
 
-    n_band, d_band = integrate(band, rho, b1, rtol).value.reshape(2, -1)
-    d_tail = _sweep_tail_integral(n, gammas, b1, rtol)
+    n_band, d_band = integrate(band, rho, b1, _RTOL).value.reshape(2, -1)
+    d_tail = _sweep_tail_integral(n, gammas, b1, _RTOL)
     values = (n_band + (n * gam[:, 0]) ** 2 * d_tail) / (d_band + d_tail)
     return [(g, float(v)) for g, v in zip(gammas, values)]
 
@@ -375,16 +377,14 @@ def cone_bounds(cone):
     """Assemble the bound report n^2 rho^2/4 <= c_perp <= pi^2 n^2 etc.
 
     ``santalo`` is the lower bound (n/alpha) 16 pi^3/(16 + alpha^2) for the
-    full constant (0 for the half-space alpha = +inf), ``koranyi_upper``
-    the gauge-ansatz upper bound.
+    full constant; the formula itself gives 0 for the half-space alpha = +inf
+    and, once alpha^2 overflows, the underflowed true value 0 for a finite
+    alpha.  ``koranyi_upper`` is the gauge-ansatz upper bound.
     """
     if not cone.alpha > 0.0:
         raise ValueError("cone_bounds: requires alpha > 0 (or +inf)")
     n = cone.n
-    if math.isinf(cone.alpha):
-        santalo = 0.0
-    else:
-        santalo = (n / cone.alpha) * 16.0 * math.pi ** 3 / (16.0 + cone.alpha ** 2)
+    santalo = (n / cone.alpha) * 16.0 * math.pi ** 3 / (16.0 + cone.alpha * cone.alpha)
     return BoundReport(n=n, alpha=cone.alpha, rho=cone.rho,
                        lower_dir=n * n * cone.rho ** 2 / 4.0,
                        upper_dir=math.pi ** 2 * n * n,
@@ -581,7 +581,7 @@ def euclid_quotient(d, a, gam):
     integrands carry the local power 2 gamma + d - 3 at phi = pi/2, handled
     by substitution when negative.
     """
-    if d != int(d) or d < 3:
+    if not (d >= 3 and d % 1 == 0):     # NaN and inf fail too
         raise ValueError("euclid_quotient: d must be an integer >= 3")
     d = int(d)
     if not 0.0 < a < 0.5 * math.pi:
@@ -604,7 +604,7 @@ def euclid_quotient(d, a, gam):
 
 def euclid_cone_lower_bound(d, a):
     """The (non-sharp) Euclidean cone Hardy lower bound ((d-2)/2)^2 tan^2 a."""
-    if d != int(d) or d < 3:
+    if not (d >= 3 and d % 1 == 0):     # NaN and inf fail too
         raise ValueError("euclid_cone_lower_bound: d must be an integer >= 3")
     if not 0.0 < a < 0.5 * math.pi:
         raise ValueError("euclid_cone_lower_bound: a must lie in (0, pi/2)")

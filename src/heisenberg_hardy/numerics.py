@@ -334,8 +334,6 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     qv = np.asarray(problem.q(x), dtype=float)
     if not (np.all(np.isfinite(pm)) and np.all(np.isfinite(qv))):
         raise ValueError("sl_min_eig: coefficients must be finite on the grid")
-    if np.all(qv == 0.0):
-        raise ValueError("sl_min_eig: singular mass matrix (q vanishes on the grid)")
     if np.any(qv <= 0.0):
         raise ValueError("sl_min_eig: mass weight q must be positive on the grid")
     if np.any(pm <= 0.0):

@@ -40,7 +40,9 @@ in cache, and a scalar is a block of one.  ``_kernels`` and ``invert_phi``
 keep a scalar a numpy scalar instead, bit-equal to the array result.  The
 domain is r finite with |r| <= 2*pi and n a positive integer; other input
 raises ValueError (``hh`` exits 2), checked once: r in ``_kernels``, n in
-``_weights``.
+``_weights``.  At r = +-0 phi, v and w are +-inf, the one-sided limit the
+sign of the zero selects, from the formulas themselves, so the named
+functions and ``eval_weights`` agree bit for bit there too.
 """
 
 import math
@@ -190,17 +192,15 @@ def eval_phi(r):
     """Evaluate phi(r) = 4 (1 - cos r)/(r - sin r), extended oddly to [-2*pi, 0).
 
     phi is an order-reversing diffeomorphism of (0, 2*pi] onto [0, inf).
-    Exactly ``+-2*pi`` maps to signed zero.  Accepts arrays.
+    Exactly ``+-2*pi`` maps to signed zero and ``+-0`` to ``+-inf``, so
+    ``invert_phi`` inverts it at both ends.  Accepts arrays.
 
     Raises
     ------
     ValueError
-        for r = 0, |r| > 2*pi, or non-finite input.
+        for |r| > 2*pi or non-finite input.
     """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr == 0.0):
-        raise ValueError("phi: r = 0 is a pole (phi ~ 12/r)")
-    return _weights(arr, [_phi])[0]
+    return _weights(r, [_phi])[0]
 
 
 # Below this a the center asymptote 2*pi - sqrt(pi a) starts Newton nearer
@@ -367,8 +367,8 @@ def eta(r):
 class SpecialValue:
     """Bundle of all weight functions at a common angle r.
 
-    ``phi``, ``v`` and ``w`` carry their poles as infinities (phi, v, w at
-    r = 0; v also at |r| = 2*pi); all removable limits are filled in:
+    ``phi``, ``v`` and ``w`` carry their poles at r = +-0 as +-inf, bit-equal
+    to ``eval_phi``, ``v`` and ``w``; all removable limits are filled in:
     mu(0) = 1/12, gamma(0) = 1, eta(0) = 1.  ``psi_weight`` is the vertical
     weight psi pulled back through polar coordinates, i.e. the angle r
     itself.
@@ -383,23 +383,14 @@ class SpecialValue:
     psi_weight: object
 
 
-def _pole(weight):
-    """The weight with +inf at r = -0.0 too, where an odd weight gives -inf."""
-    def pinned(r, *args):
-        out = weight(r, *args)
-        out[r == 0.0] = np.inf
-        return out
-    return pinned
-
-
 def eval_weights(r, n=1):
     """Evaluate all named weight functions at once; returns a SpecialValue.
 
-    Accepts scalars or arrays and |r| up to 2*pi.  At r = 0 the functions
-    with poles (phi, v, w) come back as +inf.
+    Accepts scalars or arrays and |r| up to 2*pi.  Each field is bit-equal
+    to its named function, the poles of phi, v and w at r = +-0 included.
     """
     arr = np.asarray(r, dtype=float)
-    values = _weights(arr, [_pole(_phi), _pole(_v), _pole(_w), _mu, _gamma, _eta], n)
+    values = _weights(arr, [_phi, _v, _w, _mu, _gamma, _eta], n)
     names = ("phi", "v", "w", "mu", "gamma", "eta")
     # One copy, not the caller's array.
     angle = arr.copy() if arr.ndim else float(arr)

@@ -124,6 +124,19 @@ def test_eval_pole_serializes_as_string():
     assert out["value"] == "inf"
 
 
+def test_pole_and_half_space_limits(capsys):
+    # phi has the signed pole of v and w at r = +-0, and the Santalo bound
+    # underflows to 0 once alpha^2 overflows, instead of failing
+    for r, value in (("0", "inf"), ("-0.0", "-inf")):
+        for fn in ("phi", "w"):
+            assert cli.main(["eval", "--fn", fn, "--r", r]) == 0
+            assert json.loads(capsys.readouterr().out)["outputs"]["value"] == value
+    assert cli.main(["cone-bounds", "--n", "1", "--alpha", "1e160"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["santalo"] == 0
+    assert cli.main(["invert-phi", "--a", "inf"]) == 0
+    assert json.loads(capsys.readouterr().out)["residuals"]["phi_roundtrip"] == 0
+
+
 def test_csv_formats():
     proc = _run(["curves", "--fn", "w", "--grid", "32", "--format", "csv"])
     lines = proc.stdout.strip().splitlines()
@@ -182,6 +195,12 @@ def test_output_file(tmp_path):
     ["check", "annulus", "--n", "0"],
     ["from-polar", "--t", "nan", "--varpi", "1,0", "--r", "1"],
     ["dist", "--xi", "inf,0", "--z", "1"],
+    ["check", "frame", "--samples", "0"],
+    ["check", "frame", "--samples", "-3"],
+    ["check", "jacobian", "--samples", "0"],
+    ["eval", "--fn", "gamma", "--r", "1", "--n", "0"],
+    ["eval", "--fn", "phi", "--r", "1", "--n", "-1"],
+    ["sharpness", "--steps", "0"],
 ], ids=lambda a: " ".join(a))
 def test_validation_errors_exit_2(args):
     proc = _run(args)

@@ -303,6 +303,13 @@ def test_gamma_schedule():
     assert all(a > b for a, b in zip(sched, sched[1:]))
 
 
+def test_gamma_schedule_rejects_bad_count():
+    assert default_gamma_schedule(1) == [0.0]
+    for bad in (0, -3, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            default_gamma_schedule(bad)
+
+
 def test_sharpness_sweep_monotone_to_quarter():
     cone = ConeSpec.from_rho(1, math.pi / 2)
     sweep = sharpness_sweep(cone)
@@ -365,10 +372,11 @@ def test_sweep_tail_factorization_matches_raw():
         assert abs(factored - direct) < 1e-9 * direct
 
 
-def test_sharpness_sweep_matches_tight_rtol():
+def test_sharpness_sweep_matches_tight_rtol(monkeypatch):
     cone = ConeSpec.from_alpha(3, 0.3)
     loose = sharpness_sweep(cone)
-    tight = sharpness_sweep(cone, rtol=1e-13)
+    monkeypatch.setattr(hardy, "_RTOL", 1e-13)
+    tight = sharpness_sweep(cone)
     for (_, a), (_, b) in zip(loose, tight):
         assert abs(a - b) < 1e-8 * b
 
@@ -495,6 +503,16 @@ def test_cone_bounds_values():
         cone_bounds(ConeSpec(1, -2.0, 1.0))
 
 
+def test_cone_bounds_half_space_and_huge_alpha():
+    # the formula decides both ends: alpha = inf (rho = 0), and a finite
+    # alpha whose square overflows, where the true value underflows to 0
+    assert ConeSpec.from_rho(1, 0.0).alpha == math.inf
+    assert cone_bounds(ConeSpec.from_rho(2, 0.0)).santalo == 0.0
+    assert cone_bounds(ConeSpec.from_alpha(1, 1e160)).santalo == 0.0
+    big = cone_bounds(ConeSpec.from_alpha(1, 1e100)).santalo    # ~ 16 pi^3/alpha^3
+    assert big > 0.0 and abs(big / (16.0 * math.pi ** 3 * 1e-300) - 1.0) < 1e-15
+
+
 def test_garofalo_weight_identity():
     rng = np.random.default_rng(9)
     for _ in range(100):
@@ -527,6 +545,17 @@ def test_euclid_quotient_smooth_and_singular():
         euclid_quotient(3, 2.0, 1.0)
     with pytest.raises(ValueError):
         euclid_quotient(3, 0.5, -0.5)
+
+
+def test_euclid_dimension_checked_without_int():
+    # inf and NaN fail the check itself, not int()
+    for bad in (math.inf, math.nan, 2.5, 2):
+        with pytest.raises(ValueError, match="euclid_quotient: d must be an integer >= 3"):
+            euclid_quotient(bad, 0.5, 1.0)
+        with pytest.raises(ValueError,
+                           match="euclid_cone_lower_bound: d must be an integer >= 3"):
+            euclid_cone_lower_bound(bad, 0.5)
+    assert euclid_cone_lower_bound(3.0, math.pi / 4) == euclid_cone_lower_bound(3, math.pi / 4)
 
 
 def test_euclid_cone_lower_bound():

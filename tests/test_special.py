@@ -142,9 +142,12 @@ def test_phi_endpoint_conventions():
     with pytest.raises(ValueError):
         eval_phi(TWO_PI + 1e-9)
     with pytest.raises(ValueError):
-        eval_phi(0.0)
-    with pytest.raises(ValueError):
         eval_phi(math.nan)
+    # the pole at r = +-0 is the signed one-sided limit, and invert_phi
+    # inverts phi at both ends
+    assert eval_phi(0.0) == math.inf and eval_phi(-0.0) == -math.inf
+    assert invert_phi(eval_phi(0.0)) == 0.0
+    assert eval_phi(invert_phi(0.0)) == 0.0
 
 
 def test_every_weight_checks_the_domain_of_r():
@@ -329,16 +332,15 @@ def _bits(x):
 @given(n=st.sampled_from([1, 2, 3]),
        r=hnp.arrays(np.float64, st.integers(1, 40), elements=_ANY_R))
 def test_eval_weights_bit_equal_to_named_functions(n, r):
-    nz = r != 0.0
+    # at every r, the poles at r = +-0 included (+-inf there)
     with np.errstate(divide="ignore", over="ignore"):   # phi, v, w ~ 1/r overflow near 0
         sv = eval_weights(r, n)
-        named = {"phi": eval_phi(r[nz]), "v": v(r)[nz], "w": w(r)[nz]}
+        named = {"phi": eval_phi(r), "v": v(r), "w": w(r), "mu": mu(r, n),
+                 "gamma": gamma(r), "eta": eta(r)}
     for name, ref in named.items():
-        np.testing.assert_array_equal(_bits(getattr(sv, name))[nz], _bits(ref))
-    for got, ref in ((sv.mu, mu(r, n)), (sv.gamma, gamma(r)), (sv.eta, eta(r))):
-        np.testing.assert_array_equal(_bits(got), _bits(ref))
+        np.testing.assert_array_equal(_bits(getattr(sv, name)), _bits(ref))
     for pole in (sv.phi, sv.v, sv.w):
-        assert np.all(pole[~nz] == np.inf)
+        np.testing.assert_array_equal(pole[r == 0.0], np.copysign(np.inf, r[r == 0.0]))
 
 
 def test_eval_weights_computes_each_kernel_once(monkeypatch):
