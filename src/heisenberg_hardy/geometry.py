@@ -58,7 +58,7 @@ class Point:
 class Polar:
     """Polar triple (t, varpi, r): t >= 0, |varpi| = 1, |r| <= 2*pi.
 
-    Its kernels and complement are computed on first use and kept.
+    Its kernels, complement and point are computed on first use and kept.
     """
     t: float
     varpi: np.ndarray
@@ -85,6 +85,18 @@ class Polar:
     def kernels(self):
         """The kernels (q1, c2, m3) at r, as three floats."""
         return _at(self.r)
+
+    @cached_property
+    def _point(self):
+        """Phi(t, varpi, r), evaluated on first use; ``from_polar`` returns it."""
+        t, r = self.t, self.r
+        if abs(r) == TWO_PI:
+            point = Point(np.zeros_like(self.varpi), math.copysign(t * t / (4.0 * math.pi), r))
+        else:
+            q1r, c2r, _ = self.kernels
+            point = Point(t * _mul(_A_over_r(r, c2r), self.varpi), 0.5 * t * (t * r * q1r))
+        point.xi.flags.writeable = False    # shared by every caller
+        return point
 
     @cached_property
     def complement(self):
@@ -225,13 +237,36 @@ def from_polar(c):
 
     Stable down to r = 0 (where it degenerates to the Euclidean ray
     t*varpi) and exact at |r| = 2*pi, which maps onto the vertical center
-    at height sign(r) t^2/(4*pi).
+    at height sign(r) t^2/(4*pi).  A Polar evaluates its point once and
+    returns that one point on every call, its xi read-only.
     """
-    t, r = c.t, c.r
-    if abs(r) == TWO_PI:
-        return Point(np.zeros_like(c.varpi), math.copysign(t * t / (4.0 * math.pi), r))
-    q1r, c2r, _ = c.kernels
-    return Point(t * _mul(_A_over_r(r, c2r), c.varpi), 0.5 * t * (t * r * q1r))
+    return c._point
+
+
+def _height_distance(k, z, d):
+    """sqrt(k z/d) for k, d > 0 and z >= 0, as sqrt(z) sqrt(k/d) only where k z/d overflows."""
+    kzd = k * z / d
+    return math.sqrt(kzd) if kzd < math.inf else math.sqrt(z) * math.sqrt(k / d)
+
+
+def _distance(p):
+    """|xi|, t and r of p, and the kernels at r if t needed them (else None)."""
+    nxi = math.hypot(*p.xi)         # no overflow of |xi|^2
+    z = abs(p.z)
+    if not (math.isfinite(nxi) and math.isfinite(z)):
+        raise ValueError("to_polar: xi and z must be finite")
+    a = nxi * (nxi / z) if z else math.inf
+    if math.isinf(a):                   # on the plane z = 0, or a overflows
+        return nxi, nxi, 0.0, None
+    if nxi == 0.0:                      # on the center
+        return nxi, _height_distance(4.0 * math.pi, z, 1.0), math.copysign(TWO_PI, p.z), None
+    rmag = special.invert_phi(a)
+    if rmag > math.pi:
+        # sin(r/2) vanishes at 2*pi, so near the center it amplifies the
+        # rounding of r; the height z = t^2 r q1(r)/2 gives t without it.
+        kernels = _at(rmag)
+        return nxi, _height_distance(2.0, z, rmag * kernels[0]), math.copysign(rmag, p.z), kernels
+    return nxi, rmag * nxi / (2.0 * math.sin(0.5 * rmag)), math.copysign(rmag, p.z), None
 
 
 def to_polar(p):
@@ -239,42 +274,28 @@ def to_polar(p):
 
     On the center (xi = 0) the angle saturates at r = sign(z) 2*pi and
     varpi is reported as the first coordinate direction.  The zero point
-    maps to t = 0.  Raises ValueError for non-finite xi or z.
+    maps to t = 0, and every finite point to a finite t; non-finite xi or
+    z raise ValueError.  ``from_polar`` of the result is one read-only point.
     """
-    nxi = math.hypot(*p.xi)         # no overflow of |xi|^2
-    if not (math.isfinite(nxi) and math.isfinite(p.z)):
-        raise ValueError("to_polar: xi and z must be finite")
+    nxi, t, r, kernels = _distance(p)
     if nxi == 0.0:
-        e1 = np.zeros(p.xi.size)
-        e1[0] = 1.0
-        if p.z == 0.0:
-            return Polar(0.0, e1, 0.0)
-        return Polar(math.sqrt(4.0 * math.pi * abs(p.z)), e1, math.copysign(TWO_PI, p.z))
-
-    a = nxi * (nxi / abs(p.z)) if p.z else math.inf
-    if math.isinf(a):                   # on the plane z = 0, or a overflows
-        return Polar(nxi, p.xi / nxi, 0.0)
-    rmag = special.invert_phi(a)
-    r = math.copysign(rmag, p.z)
-    kernels = None
-    if rmag > math.pi:
-        # sin(r/2) vanishes at 2*pi, so near the center it amplifies the
-        # rounding of r; the height z = t^2 r q1(r)/2 gives t without it.
-        kernels = _at(rmag)
-        t = math.sqrt(2.0 * abs(p.z) / (rmag * kernels[0]))
+        varpi = np.eye(1, p.xi.size)[0]     # the first coordinate direction
+    elif r == 0.0:
+        varpi = p.xi / nxi
     else:
-        t = rmag * nxi / (2.0 * math.sin(0.5 * rmag))
-    # xi = t sinc(r/2) e^(i r/2) varpi with sinc(r/2) > 0, so the direction
-    # of xi rotated back is varpi: no 1/t, which can underflow.
-    c = Polar(t, _mul(cmath.exp(-0.5j * r), p.xi / nxi), r)
+        # xi = t sinc(r/2) e^(i r/2) varpi with sinc(r/2) > 0, so the direction
+        # of xi rotated back is varpi: no 1/t, which can underflow.
+        varpi = _mul(cmath.exp(-0.5j * r), p.xi / nxi)
+    c = Polar(t, varpi, r)
     if kernels is not None:
         vars(c)["kernels"] = kernels        # the kernels are even in r
     return c
 
 
 def cc_distance(p):
-    """Carnot-Caratheodory distance of p from the identity (= polar t)."""
-    return to_polar(p).t
+    """Carnot-Caratheodory distance of p from the identity: the t of
+    ``to_polar``, bit for bit, from the same code, with no varpi or Polar."""
+    return _distance(p)[1]
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,9 @@ class ConeSpec:
             raise ValueError("ConeSpec: rho must lie in [0, 2*pi]")
         if not self.alpha >= 0.0:
             raise ValueError("ConeSpec: alpha must be in [0, inf]")
+        if not (self.rho == special.invert_phi(self.alpha)
+                or self.alpha == special.eval_phi(self.rho)):
+            raise ValueError("ConeSpec: alpha and rho describe different cones")
 
     @classmethod
     def from_alpha(cls, n, alpha):

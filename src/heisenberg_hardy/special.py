@@ -37,7 +37,8 @@ All public functions accept scalars or arrays and are vectorized in ``r``;
 the named functions are one call of the driver ``_weights``, which runs the
 kernels and the weights on blocks of _BLOCK values, so the temporaries stay
 in cache, and a scalar is a block of one.  ``_kernels`` and ``invert_phi``
-keep a scalar a numpy scalar instead, bit-equal to the array result.  The
+keep a scalar a numpy scalar instead, bit-equal to the array result: it
+skips only the reductions, clips, casts and broadcasts of arrays.  The
 domain is r finite with |r| <= 2*pi and n a positive integer; other input
 raises ValueError (``hh`` exits 2), checked once: r in ``_kernels``, n in
 ``_weights``.  At r = +-0 phi, v and w are +-inf, the one-sided limit the
@@ -45,6 +46,7 @@ sign of the zero selects, from the formulas themselves, so the named
 functions and ``eval_weights`` agree bit for bit there too.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -67,6 +69,7 @@ _SERIES_COEF = np.array([[(-1.0) ** j / math.factorial(2 * j + 3),
                           (-1.0) ** j * 2 / math.factorial(2 * j + 2),
                           (-1.0) ** j * (2 * j + 2) / math.factorial(2 * j + 4)]
                          for j in reversed(range(8))])[:, :, None]
+_SERIES_ROWS = _SERIES_COEF[:, :, 0].T.tolist()     # one list of floats per kernel
 
 # Values per block of the named functions: the temporaries of one block
 # (a dozen arrays of 128 KiB) stay in a core's L2 cache.
@@ -91,17 +94,21 @@ def _kernels(r):
     1 ulp) overwrites the closed forms (they give nan at r = 0 and x = r^2
     underflows at tiny r, hence the ignored errors); when every |r| is
     below the switch the closed forms are skipped.  Each value depends
-    only on its own r, so a batch is bit-equal to one-element calls; a
-    numpy scalar stays one (numpy's scalar math, no one-element arrays),
-    bit-equal to the one-element call.  Raises ValueError unless every
-    |r| <= 2*pi (NaN fails): the one check of r, on the max the switch reads.
+    only on its own r, so a batch is bit-equal to one-element calls, and
+    so is a numpy scalar: the closed forms in numpy's scalar math (no pole
+    at or above the switch), the series in floats.  Raises ValueError unless
+    every |r| <= 2*pi (NaN fails): the one check of r, on the max the switch reads.
     """
-    a = np.abs(r)
-    with np.errstate(all="ignore"):
+    a = abs(r)
+    top = a.max(initial=0.0) if a.ndim else a
+    if not top <= TWO_PI:               # NaN fails too
+        raise ValueError(f"r must be finite with |r| <= 2*pi (max |r| = {float(top)!r})")
+    if top < SERIES_SWITCH and not a.ndim:      # float arithmetic: silent where x underflows
+        x = float(a) * float(a)
+        return tuple(np.float64(_series(x, row)) for row in _SERIES_ROWS)
+    # a scalar here is at or above the switch, where no closed form meets a pole
+    with np.errstate(all="ignore") if a.ndim else contextlib.nullcontext():
         a2 = a * a
-        top = a.max(initial=0.0)
-        if not top <= TWO_PI:           # NaN fails too
-            raise ValueError(f"r must be finite with |r| <= 2*pi (max |r| = {float(top)!r})")
         if top < SERIES_SWITCH:
             return tuple(_series(a2.reshape(-1)).reshape((3,) + a.shape))
         h = 0.5 * a
@@ -118,7 +125,7 @@ def _kernels(r):
         m3 /= a2
         h *= a2                         # a^3/2
         q1 /= h
-        if a.ndim:                      # a scalar here is at or above the switch
+        if a.ndim:
             small = (a < SERIES_SWITCH).nonzero()
             if small[0].size:
                 for row, series in zip((q1, c2, m3), _series(a2[small])):
@@ -126,13 +133,14 @@ def _kernels(r):
     return q1, c2, m3
 
 
-def _series(x):
-    """The series of (q1, c2, m3) at the 1-d x = r^2, shape (3, x.size), by Horner."""
-    series = _SERIES_COEF[0] * x
-    for coef in _SERIES_COEF[1:-1]:
+def _series(x, table=_SERIES_COEF):
+    """The series of (q1, c2, m3) at the 1-d x = r^2, shape (3, x.size), by
+    Horner; or one of them at the float x, given its row of _SERIES_ROWS."""
+    series = table[0] * x
+    for coef in table[1:-1]:
         series += coef
         series *= x
-    series += _SERIES_COEF[-1]
+    series += table[-1]
     return series
 
 
@@ -219,8 +227,10 @@ def _phi_step(r, a):
     """One Newton step on log phi - log a from r, clipped inside (r/2, (r + 2*pi)/2)."""
     q1, c2, m3 = _kernels(r)
     rq1 = r * q1
-    return np.minimum(np.maximum(r + np.log(2.0 * c2 / rq1 / a) * (rq1 * c2) / (2.0 * m3),
-                                 0.5 * r), 0.5 * (r + TWO_PI))
+    step = r + np.log(2.0 * c2 / rq1 / a) * (rq1 * c2) / (2.0 * m3)
+    if step.ndim:
+        return np.minimum(np.maximum(step, 0.5 * r), 0.5 * (r + TWO_PI))
+    return min(max(step, 0.5 * r), 0.5 * (r + TWO_PI))
 
 
 # Newton starts for a in [1e-9, e^35 1e-9 ~ 1.6e6): the logit
@@ -251,20 +261,28 @@ def _phi_logit_table():
 
 
 _PHI_LOGIT = _phi_logit_table()
+_PHI_LOGIT_PIECES = _PHI_LOGIT.T.tolist()      # one list of floats per piece
 
 
 def _newton_start(a):
     """The tabulated logit start inside the table, the asymptotes outside."""
-    y = np.minimum(np.maximum(np.log(a) - _PHI_TABLE_Y0, 0.0), _PHI_TABLE_PIECES)
-    piece = np.minimum(y, _PHI_TABLE_PIECES - 1).astype(np.intp)
+    if a.ndim:
+        outside = (a < _PHI_TABLE_START) | (a >= _PHI_TABLE_END)
+        y = np.minimum(np.maximum(np.log(a) - _PHI_TABLE_Y0, 0.0), _PHI_TABLE_PIECES)
+        piece = np.minimum(y, _PHI_TABLE_PIECES - 1).astype(np.intp)
+        coef = _PHI_LOGIT[:, piece]
+    elif _PHI_TABLE_START <= a < _PHI_TABLE_END:
+        y = min(max(float(np.log(a)) - _PHI_TABLE_Y0, 0.0), _PHI_TABLE_PIECES)
+        piece = int(min(y, _PHI_TABLE_PIECES - 1))
+        coef = _PHI_LOGIT_PIECES[piece]
+    else:
+        return _asymptotic_start(a)
     u = 2.0 * (y - piece) - 1.0
-    coef = _PHI_LOGIT[:, piece]
     logit = coef[0]
     for c in coef[1:]:
         logit = logit * u + c
     start = TWO_PI / (1.0 + np.exp(-logit))
-    outside = (a < _PHI_TABLE_START) | (a >= _PHI_TABLE_END)
-    if outside.any():
+    if a.ndim and outside.any():
         start = np.where(outside, _asymptotic_start(a), start)
     return start
 
@@ -272,7 +290,8 @@ def _newton_start(a):
 def invert_phi(a):
     """Solve phi(r) = a for r in (0, 2*pi], given a in [0, inf].
 
-    Accepts scalars (run on numpy scalars, bit-equal to arrays) or arrays.
+    Accepts scalars or arrays; a scalar runs the arithmetic of an array
+    element and skips only the array steps, so it is bit-equal to arrays.
     a = 0 gives 2*pi and a = inf gives 0, for a scalar without any work.
     Elsewhere r is one Newton step on log phi(r) - log a, over the whole
     array in one ``_kernels`` call for q1, c2 and m3:
@@ -300,10 +319,10 @@ def invert_phi(a):
         for negative or NaN input.
     """
     arr = np.asarray(a, dtype=float)
-    if not (arr >= 0.0).all():         # negative or NaN
+    x = arr[()]                         # a numpy scalar, or a view of the array
+    if not (x >= 0.0 if arr.ndim == 0 else (x >= 0.0).all()):   # negative or NaN
         raise ValueError("invert_phi: a must be in [0, inf]")
     if arr.ndim == 0:
-        x = arr[()]
         if x == 0.0 or x == math.inf:
             return TWO_PI if x == 0.0 else 0.0
         return float(_phi_step(_newton_start(x), x))

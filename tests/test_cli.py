@@ -13,6 +13,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import mpmath
 import pytest
 
 import heisenberg_hardy.cli as cli
@@ -135,6 +136,17 @@ def test_pole_and_half_space_limits(capsys):
     assert json.loads(capsys.readouterr().out)["outputs"]["santalo"] == 0
     assert cli.main(["invert-phi", "--a", "inf"]) == 0
     assert json.loads(capsys.readouterr().out)["residuals"]["phi_roundtrip"] == 0
+
+
+@pytest.mark.parametrize("xi", ["0,0", "1e-10,0"])
+def test_dist_near_the_largest_float(capsys, xi):
+    # 4 pi |z| overflows at |z| = 1e308, but its root, the distance of both
+    # points to within 1e-164, does not
+    assert cli.main(["dist", "--xi", xi, "--z", "1e308"]) == 0
+    with mpmath.workdps(50):
+        ref = float(mpmath.sqrt(4 * mpmath.pi * mpmath.mpf(1e308)))
+    distance = json.loads(capsys.readouterr().out)["outputs"]["distance"]
+    assert abs(distance - ref) <= 1e-15 * ref
 
 
 def test_csv_formats():

@@ -192,10 +192,10 @@ def test_cc_distance_examples():
     assert abs(cc_distance(Point(np.zeros(2), 1.0)) - math.sqrt(4.0 * math.pi)) < 1e-14
 
 
-def _mp_cc_distance(nxi, z):
-    """r |xi| / (2 sin(r/2)) where phi(r) = |xi|^2/|z| < 8, by Newton in 40
+def _mp_cc_distance(nxi, z, dps=40):
+    """r |xi| / (2 sin(r/2)) where phi(r) = |xi|^2/|z| < 8, by Newton in dps
     digits on s = 2*pi - r, with sin(r/2) = sin(s/2) and 1 - cos s = 2 sin(s/2)^2."""
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         nxi = mpmath.mpf(nxi)
         log_a = 2 * mpmath.log(nxi) - mpmath.log(abs(z))
         s = mpmath.sqrt(mpmath.pi) * mpmath.exp(log_a / 2)     # phi ~ s^2/pi
@@ -212,6 +212,38 @@ def test_cc_distance_near_center_matches_mpmath(xi, z):
     # to r = 2*pi); the height form t = sqrt(2 |z| / (|r| q1(r))) does not.
     ref = _mp_cc_distance(xi, z)
     assert abs(cc_distance(Point(np.array([xi, 0.0]), z)) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-10])
+def test_distance_is_finite_up_to_the_largest_float(xi):
+    # 4 pi |z| and 2 |z|/(r q1(r)) overflow at |z| = 1e308, but the distance
+    # is sqrt of them, about 3.5e154.
+    p = Point(np.array([xi, 0.0]), 1e308)
+    with mpmath.workdps(50):
+        ref = _mp_cc_distance(xi, p.z, dps=50) if xi else \
+            float(mpmath.sqrt(4 * mpmath.pi * mpmath.mpf(p.z)))
+    for t in (to_polar(p).t, cc_distance(p)):
+        assert abs(t - ref) <= 1e-15 * ref
+
+
+_MAGNITUDES = st.sampled_from([0.0, 1.0]) | st.floats(1e-150, 1e150)
+
+
+@settings(deadline=None, max_examples=300)
+@given(x=_MAGNITUDES, y=_MAGNITUDES, z=_MAGNITUDES, negative=st.booleans())
+def test_cc_distance_is_the_t_of_to_polar(x, y, z, negative):
+    # the center (x = y = 0), the plane (z = 0) and 300 decades in between
+    p = Point(np.array([x, -y]), -z if negative else z)
+    assert np.float64(cc_distance(p)).view(np.int64) == np.float64(to_polar(p).t).view(np.int64)
+
+
+def test_a_polar_has_one_read_only_point():
+    c = Polar(t=1.3, varpi=_unit(2), r=2.0)
+    point = from_polar(c)
+    assert from_polar(c) is point
+    assert frame(c).point is point
+    with pytest.raises(ValueError):
+        point.xi[0] = 0.0
 
 
 @pytest.mark.parametrize("z", [1e-16, 1e-20, -1e-20])

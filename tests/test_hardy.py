@@ -65,6 +65,20 @@ def test_cone_spec_roundtrip():
         ConeSpec(1, math.nan, 1.0)
 
 
+def test_cone_spec_rejects_an_alpha_and_a_rho_of_different_cones():
+    # phi(0.1) = 119.96: alpha = 4 and rho = 0.1 are two cones, and
+    # cone_bounds would mix their bounds
+    with pytest.raises(ValueError, match="different cones"):
+        ConeSpec(1, 4.0, 0.1)
+    for alpha, rho in [(4.0, special.invert_phi(4.0)), (special.eval_phi(0.1), 0.1),
+                       (math.inf, 0.0), (0.0, TWO_PI)]:
+        assert ConeSpec(1, alpha, rho).rho == rho
+    # the checks before it keep their messages
+    for alpha in (math.nan, -2.0):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            ConeSpec(1, alpha, 1.0)
+
+
 @pytest.mark.parametrize("n", [0, -1, 2.5, math.nan, math.inf])
 def test_every_entry_checks_n(n):
     # n reaches special through _weights and is checked once per layer entry,
