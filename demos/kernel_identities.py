@@ -102,4 +102,3 @@ print(f"  phi        = {vals.phi}      (pole at 0 kept as inf)")
 print(f"  w          = {vals.w}")
 print(f"  mu         = {vals.mu}")
 print(f"  eta        = {vals.eta}")
-print(f"  psi_weight = {vals.psi_weight}")

@@ -43,7 +43,6 @@ from .numerics import (
     sl_min_eig,
     sphere_area,
     sphere_integral,
-    sphere_surface_area,
 )
 from .geometry import (
     FrameAtPoint,
@@ -63,7 +62,6 @@ from .geometry import (
     is_horizontal,
     jacobian,
     koranyi,
-    koranyi_polar,
     to_polar,
 )
 from .hardy import (

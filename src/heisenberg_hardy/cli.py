@@ -232,6 +232,10 @@ def _cmd_from_polar(args):
 
 def _cmd_geodesic(args):
     varpi = _parse_vec(args.varpi, "--varpi")
+    big = float(np.max(np.abs(varpi)))
+    if not 0.0 < big < math.inf:        # NaN fails too
+        raise ValueError(f"geodesic: --varpi must be finite and nonzero, got {args.varpi!r}")
+    varpi = np.ldexp(varpi, -math.frexp(big)[1])    # exact, so varpi.varpi neither under- nor overflows
     varpi = varpi / np.linalg.norm(varpi)
     if args.tmax <= 0 or args.steps < 1:
         raise ValueError("geodesic: needs tmax > 0 and steps >= 1")
@@ -257,7 +261,7 @@ def _cmd_geodesic(args):
 
 
 def _cmd_check_frame(args):
-    n = args.n
+    n = special._dimension(args.n)
     rng = np.random.default_rng(args.seed)
     tol = 1e-9
     gram_max = horiz_max = tnorm_max = eik_max = 0.0
@@ -304,7 +308,7 @@ def _fd_jacobian_det(c, h=1e-5):
 
 
 def _cmd_check_jacobian(args):
-    n = args.n
+    n = special._dimension(args.n)
     rng = np.random.default_rng(args.seed)
     formula_max = fd_max = 0.0
     for _ in range(args.samples):
@@ -340,7 +344,7 @@ def _random_sphere_poly(rng, dim, max_terms=6, max_degree=4):
 
 
 def _cmd_check_divergence(args):
-    n = args.n
+    n = special._dimension(args.n)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(20):

@@ -202,11 +202,6 @@ def koranyi(p):
     return lam * math.sqrt(math.hypot(x * x, 4.0 * (p.z / lam) / lam))
 
 
-def koranyi_polar(c):
-    """The gauge through polar coordinates: N(Phi(t, varpi, r)) = t * gamma(r)."""
-    return c.t * special._gamma(c.r, *c.kernels)
-
-
 # ----------------------------------------------------------------------
 # The complex scalars A(r)/r and A'(r) - A(r)/r; A'(r) = e^(i r)
 # ----------------------------------------------------------------------

@@ -267,6 +267,26 @@ def default_gamma_schedule(count=12):
     return [-0.5 + 2.0 ** (-k) for k in range(1, count + 1)]
 
 
+def _power_tail(g, span, e, rtol):
+    """int_0^span u^(e_k - 1) g(u) du for each e_k > 0, in one ``integrate`` call.
+
+    ``g`` is bounded and takes the distance u to the singular end, of shape
+    (len(e), m) with row k on the nodes of e_k, in rows that broadcast
+    against it.  Under u = span v^p, p = ceil(3/e), the integral is span^e
+    int_0^1 p v^(p e - 1) g(span v^p) dv, C^2 at v = 0 for every e (u = span
+    v^(1/e) would leave an unbounded derivative there and double the
+    rounds).  u stays a distance, so no rounding of an endpoint minus u
+    loses it; u = 0 where v^p underflows, and g must be finite there.
+    """
+    e = np.asarray(e, dtype=float)[:, None]
+    p = np.ceil(3.0 / e)
+
+    def f(v):
+        return g(span * v ** p) * p * v ** (p * e - 1.0)
+
+    return span ** e[:, 0] * integrate(f, 0.0, 1.0, rtol).value
+
+
 def _sweep_tail_integral(n, gammas, b1, rtol):
     """int_b1^2pi (r w mu)^(2 gamma) r mu dr for each gamma, stable down to
     gamma -> -1/2.
@@ -281,28 +301,19 @@ def _sweep_tail_integral(n, gammas, b1, rtol):
     bounded and smooth where the raw (r w mu)^(2 gamma) under- or
     overflows (Q from c2 delta + r sin(delta)/delta and sin(delta)/delta =
     c2 - delta^2 m3, so one ``_kernels`` call at delta gives both factors).
-    Under delta = span v^p, with e = beta + 1 and the integer
-    p = ceil(3/e), the tail is span^e int_0^1 p v^(p e - 1) P^(2 gamma) Q dv:
-    every gamma on v in [0, 1], so one ``integrate`` call takes all tails,
-    and the integrand is C^2 at v = 0 (P, Q are smooth in span v^p and the
-    power of v is at least 2; delta = span v^(1/e) would put an unbounded
-    derivative there and double the rounds).
+    ``_power_tail`` takes the power delta^beta of all gammas at once.
     """
     gam = np.asarray(gammas, dtype=float)[:, None]
-    e = 2 * n * (2.0 * gam + 1.0)
-    p = np.ceil(3.0 / e)
-    span = TWO_PI - b1
 
-    def g(v):
-        delta = span * v ** p
+    def g(delta):
         r = TWO_PI - delta
         _, c2d, m3d = special._kernels(delta)
         ratio = c2d / r ** 2
         pf = 0.5 * ratio ** n
         qf = (TWO_PI * c2d - r * delta ** 2 * m3d) / r ** 3 * ratio ** (n - 1)
-        return pf ** (2.0 * gam) * qf * p * v ** (p * e - 1.0)
+        return pf ** (2.0 * gam) * qf
 
-    return span ** e[:, 0] * integrate(g, 0.0, 1.0, rtol).value
+    return _power_tail(g, TWO_PI - b1, 2 * n * (2.0 * gam[:, 0] + 1.0), rtol)
 
 
 _BAND_WIDTH = 0.1   # smoothstep band of sharpness_sweep, as a share of 2*pi - rho
@@ -435,7 +446,7 @@ def santalo_geometry_check(n=1, alpha=4.0, samples=64, seed=0):
     def stationarity(r):
         return float(r * (1.0 - math.cos(r)) - 2.0 * (r - math.sin(r)))
 
-    argmax = find_root_monotone(stationarity, 2.0, 4.0, tol=0.0)
+    argmax = find_root_monotone(stationarity, 2.0, 4.0)
     max_value = 0.5 * argmax * geometry._at(argmax)[0]     # z/t^2 = r q1(r)/2
     stat_res = abs(stationarity(argmax))
 
@@ -579,10 +590,11 @@ def euclid_quotient(d, a, gam):
         int |<grad u, Xi>|^2 / psi dx / int u^2 psi / t^2 dx = gamma^2,
 
     which this evaluates by honest quadrature of both angular integrals in
-    one call of ``integrate`` to relative tolerance _RTOL (the radial factor
-    int eta(t)^2 t^(d-3) dt is common to both and cancels); the angular
-    integrands carry the local power 2 gamma + d - 3 at phi = pi/2, handled
-    by substitution when negative.
+    one ``_power_tail`` call to relative tolerance _RTOL (the radial factor
+    int eta(t)^2 t^(d-3) dt is common to both and cancels).  Both are of degree
+    2 gamma + d - 3 in cos(phi) = sin(u), u = pi/2 - phi; a negative degree is
+    taken out as that power of u, with sin(u)/u = c2 - u^2 m3 for cos(phi), and
+    a degree >= 0 stays on sin(u), which keeps the range of cos(a)^(2 gamma).
     """
     if not (d >= 3 and d % 1 == 0):     # NaN and inf fail too
         raise ValueError("euclid_quotient: d must be an integer >= 3")
@@ -594,14 +606,16 @@ def euclid_quotient(d, a, gam):
         raise ValueError(f"euclid_quotient: gamma must exceed (2-d)/2 = {0.5 * (2 - d)}")
 
     expo = 2.0 * gam + d - 3.0
-    sing = ("right", expo) if expo < 0.0 else None
 
-    def phi_parts(phi):
-        c, s = np.cos(phi), np.sin(phi)
-        return np.stack([(gam * c ** (gam - 1.0) * s) ** 2 * (c / s) * c ** (d - 2),
-                         c ** (2.0 * gam) * (s / c) * c ** (d - 2)])
+    def parts(u):
+        c, s = np.sin(u), np.cos(u)
+        if expo < 0.0:
+            _, c2, m3 = special._kernels(u)
+            c = c2 - u * u * m3     # sin(u)/u
+        return np.concatenate([(gam * c ** (gam - 1.0) * s) ** 2 * (c / s) * c ** (d - 2),
+                               c ** (2.0 * gam) * (s / c) * c ** (d - 2)])
 
-    num, den = integrate(phi_parts, a, 0.5 * math.pi, _RTOL, singularity=sing).value
+    num, den = _power_tail(parts, 0.5 * math.pi - a, [min(expo, 0.0) + 1.0], _RTOL)
     return float(num / den)
 
 

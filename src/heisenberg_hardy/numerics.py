@@ -78,7 +78,10 @@ def _gk15(f, edges):
     return out.reshape(3, -1, half.size) * half, y.ndim
 
 
-def integrate(f, a, b, rtol=1e-10, max_evals=1_000_000, singularity=None):
+_MAX_EVALS = 1_000_000   # budget of integrand evaluations (nodes) of one integrate call
+
+
+def integrate(f, a, b, rtol=1e-10):
     """Adaptively integrate k vectorized integrands over (a, b) on shared nodes.
 
     Gauss-Kronrod 7/15 panels with the QUADPACK error estimate; all nodes
@@ -88,6 +91,8 @@ def integrate(f, a, b, rtol=1e-10, max_evals=1_000_000, singularity=None):
     cancels to zero.  Each round bisects every panel whose error exceeds
     1/M of a failing component's tolerance (M panels), and evaluates all
     new panels in one call of ``f`` (Berntsen, Espelid & Genz 1991).
+    More than _MAX_EVALS evaluations raise QuadratureError, as does an
+    error stuck on panels of rounding width.
 
     Parameters
     ----------
@@ -96,15 +101,6 @@ def integrate(f, a, b, rtol=1e-10, max_evals=1_000_000, singularity=None):
         for one integrand or (k, m) for k integrands.
     rtol : float
         Relative tolerance, applied to each component.
-    max_evals : int
-        Budget of integrand evaluations (nodes); exceeding it raises
-        QuadratureError, as does an error stuck on panels of rounding width.
-    singularity : tuple or None
-        Optional ("left"|"right", beta) declaring an integrable power
-        behaviour f ~ (x - endpoint)^beta with beta > -1 at one endpoint.
-        The integral is transformed with the substitution
-        x = endpoint +- u^(1/(1+beta)), which makes the transformed
-        integrand bounded, before adapting.
 
     Returns
     -------
@@ -122,29 +118,9 @@ def integrate(f, a, b, rtol=1e-10, max_evals=1_000_000, singularity=None):
         zero = np.zeros(shape) if shape else 0.0
         return QuadResult(zero, zero, 0)
 
-    g, lo, hi = f, a, b
-    if singularity is not None:
-        side, beta = singularity
-        beta = float(beta)
-        if beta <= -1.0:
-            raise ValueError(f"integrate: exponent beta = {beta} is not integrable")
-        if side not in ("left", "right"):
-            raise ValueError("integrate: singularity side must be 'left' or 'right'")
-        if beta != 0.0:
-            e = 1.0 + beta
-            if side == "left":
-                def g(u, _f=f, _a=a, _e=e):
-                    u = np.asarray(u, dtype=float)
-                    return _f(_a + u ** (1.0 / _e)) * u ** (1.0 / _e - 1.0) / _e
-            else:
-                def g(u, _f=f, _b=b, _e=e):
-                    u = np.asarray(u, dtype=float)
-                    return _f(_b - u ** (1.0 / _e)) * u ** (1.0 / _e - 1.0) / _e
-            lo, hi = 0.0, (b - a) ** e
-
-    width_floor = 1e-14 * max(abs(lo), abs(hi), hi - lo)
-    edges = np.array([[lo], [hi]])
-    panels, ndim = _gk15(g, edges)
+    width_floor = 1e-14 * max(abs(a), abs(b), b - a)
+    edges = np.array([[a], [b]])
+    panels, ndim = _gk15(f, edges)
     evals = _GK_NODES.size
     while True:
         val, err, babs = panels.sum(axis=2)
@@ -159,13 +135,13 @@ def integrate(f, a, b, rtol=1e-10, max_evals=1_000_000, singularity=None):
                 f"integrate: error estimate stalled at {err.max():g} > rtol {rtol:g} "
                 "(panel width at rounding level)")
         left, right = edges[:, split]
-        if evals + 2 * _GK_NODES.size * left.size > max_evals:
+        if evals + 2 * _GK_NODES.size * left.size > _MAX_EVALS:
             raise QuadratureError(
-                f"integrate: rtol {rtol:g} not reached within {max_evals} evaluations "
+                f"integrate: rtol {rtol:g} not reached within {_MAX_EVALS} evaluations "
                 f"(error estimate {err.max():g})")
         mid = 0.5 * (left + right)
         halves = np.array([np.concatenate((left, mid)), np.concatenate((mid, right))])
-        new, _ = _gk15(g, halves)
+        new, _ = _gk15(f, halves)
         evals += _GK_NODES.size * halves.shape[1]
         edges = np.concatenate((edges[:, ~split], halves), axis=1)
         panels = np.concatenate((panels[..., ~split], new), axis=2)
@@ -182,14 +158,13 @@ def integrate(f, a, b, rtol=1e-10, max_evals=1_000_000, singularity=None):
 _MAX_BISECTIONS = 300   # most halvings of find_root_monotone
 
 
-def find_root_monotone(f, lo, hi, tol=1e-12):
+def find_root_monotone(f, lo, hi):
     """Find the root of a monotone function bracketed by [lo, hi].
 
-    Bisects until |f(x)| <= tol * scale with scale = max(1, |f(lo)|,
-    |f(hi)|), or until the bracket is within 4 eps of its end points (a
-    relative test, floored at the smallest normal float) -- so ``tol=0``
-    polishes the root to ~1 ulp, given _MAX_BISECTIONS = 300 halvings
-    enough to reach its scale.
+    Bisects until f(x) = 0 or the bracket is within 4 eps of its end points
+    (a relative test, floored at the smallest normal float), so the root
+    is polished to ~1 ulp, given _MAX_BISECTIONS = 300 halvings enough to
+    reach its scale.
 
     Raises
     ------
@@ -208,13 +183,12 @@ def find_root_monotone(f, lo, hi, tol=1e-12):
         return hi
     if flo * fhi > 0.0:
         raise ValueError("find_root_monotone: f(lo) and f(hi) have the same sign")
-    scale = max(1.0, abs(flo), abs(fhi))
     sign_lo = math.copysign(1.0, flo)
 
     x = 0.5 * (lo + hi)
     for _ in range(_MAX_BISECTIONS):
         fx = float(f(x))
-        if fx == 0.0 or abs(fx) <= tol * scale:
+        if fx == 0.0:
             return x
         if math.copysign(1.0, fx) == sign_lo:
             lo = x
@@ -256,8 +230,10 @@ class EigResult:
 
 
 # Relative width to which sl_min_eig bisects before inverse iteration, well
-# inside the spectral gap (lambda_2/lambda_1 is 1.036 for n = 3, grid 16384).
+# inside the spectral gap (lambda_2/lambda_1 is 1.036 for n = 3, grid 16384),
+# and the relative width of the bracket it reports.
 _COARSE_TOL = 1e-3
+_BISECT_TOL = 1e-10
 
 
 def _bisect(d, e, tol, lo, hi=None, factors=None):
@@ -286,7 +262,7 @@ def _bisect(d, e, tol, lo, hi=None, factors=None):
     return lo, hi, factors
 
 
-def sl_min_eig(problem, bisect_tol=1e-10):
+def sl_min_eig(problem):
     """Smallest generalized eigenvalue of -(p u')' = lambda q u.
 
     Second-order finite volumes on a staggered grid: fluxes use ``p`` at
@@ -300,11 +276,11 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     the ``dpttrf`` factors of T - lo I at the last definite shift ``lo``
     until the Rayleigh quotient lam changes by <= 1e-14 relative or by no
     less than before.  Two factorizations confirm lo' < lambda_1 <= hi' at
-    lo', hi' = lam -+ 0.45 bisect_tol max(1, |lam|); if either disagrees,
-    the loop bisects on to ``bisect_tol``, iterates again and keeps that
+    lo', hi' = lam -+ 0.45 _BISECT_TOL max(1, |lam|); if either disagrees,
+    the loop bisects on to _BISECT_TOL, iterates again and keeps that
     bracket.  ``bracket`` is thus verified, holds ``lambda_min`` (the
     Rayleigh quotient of the returned eigenvector), and is at most
-    ``bisect_tol * max(1, |lo|, |hi|)`` wide.  scipy is imported here and
+    ``_BISECT_TOL * max(1, |lo|, |hi|)`` wide.  scipy is imported here and
     in ``_bisect`` only, so every other routine loads numpy alone.
 
     Raises
@@ -355,7 +331,7 @@ def sl_min_eig(problem, bisect_tol=1e-10):
     # from below; T's Gershgorin bound reaches -2e5 for small a.
     y = np.full(m, 1.0 / math.sqrt(m))
     lo, hi, factors = 0.0, None, None
-    tol = max(_COARSE_TOL, bisect_tol)
+    tol = _COARSE_TOL
     while True:
         lo, hi, factors = _bisect(d, e, tol, lo, hi, factors)
         if factors is None:               # no midpoint was definite: lo is 0
@@ -372,14 +348,14 @@ def sl_min_eig(problem, bisect_tol=1e-10):
             if change <= 1e-14 * max(1.0, abs(lam)) or change >= step:
                 break
             step = change
-        if tol == bisect_tol:             # keep lam in the bisection bracket
+        if tol == _BISECT_TOL:             # keep lam in the bisection bracket
             lam = min(max(lam, lo), hi)
             break
-        half = 0.45 * bisect_tol * max(1.0, abs(lam))
+        half = 0.45 * _BISECT_TOL * max(1.0, abs(lam))
         if dpttrf(d - (lam - half), e)[2] == 0 and dpttrf(d - (lam + half), e)[2] != 0:
             lo, hi = lam - half, lam + half
             break
-        tol = bisect_tol
+        tol = _BISECT_TOL
 
     u = y * s
     u = u / u[np.argmax(np.abs(u))]
@@ -484,31 +460,17 @@ def _sphere_monomial_moment(exps):
 
 
 def sphere_integral(f, n):
-    """Exact integral of a polynomial over the unit sphere S^(2n-1).
-
-    ``f`` may be a SpherePoly on R^(2n), a {exponents: coeff} dict, or a
-    plain number (constant).  Uses the classical Gamma-function monomial
-    moments, so the only error is final rounding.
+    """Exact integral of the SpherePoly ``f`` on R^(2n) over the unit sphere
+    S^(2n-1).  Uses the classical Gamma-function monomial moments, so the
+    only error is final rounding.
     """
     dim = 2 * _dimension(n)
-    if isinstance(f, SpherePoly):
-        if f.dim != dim:
-            raise ValueError("sphere_integral: polynomial dimension mismatch")
-        terms = f.terms
-    elif isinstance(f, dict):
-        terms = SpherePoly(dim, f).terms
-    else:
-        terms = {tuple([0] * dim): float(f)}
-    return float(sum(c * _sphere_monomial_moment(e) for e, c in terms.items()))
-
-
-def sphere_surface_area(d):
-    """Surface area of the unit sphere S^(d-1) in R^d."""
-    if d < 1:
-        raise ValueError("sphere_surface_area: d must be >= 1")
-    return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+    if not (isinstance(f, SpherePoly) and f.dim == dim):
+        raise ValueError(f"sphere_integral: f must be a SpherePoly on R^{dim}")
+    return float(sum(c * _sphere_monomial_moment(e) for e, c in f.terms.items()))
 
 
 def sphere_area(n):
     """Surface area of S^(2n-1), the sphere of the horizontal slice of H^n."""
-    return sphere_surface_area(2 * _dimension(n))
+    n = _dimension(n)
+    return 2.0 * math.pi ** n / math.gamma(n)

@@ -388,9 +388,7 @@ class SpecialValue:
 
     ``phi``, ``v`` and ``w`` carry their poles at r = +-0 as +-inf, bit-equal
     to ``eval_phi``, ``v`` and ``w``; all removable limits are filled in:
-    mu(0) = 1/12, gamma(0) = 1, eta(0) = 1.  ``psi_weight`` is the vertical
-    weight psi pulled back through polar coordinates, i.e. the angle r
-    itself.
+    mu(0) = 1/12, gamma(0) = 1, eta(0) = 1.
     """
     r: object
     phi: object
@@ -399,7 +397,6 @@ class SpecialValue:
     w: object
     gamma: object
     eta: object
-    psi_weight: object
 
 
 def eval_weights(r, n=1):
@@ -413,7 +410,7 @@ def eval_weights(r, n=1):
     names = ("phi", "v", "w", "mu", "gamma", "eta")
     # One copy, not the caller's array.
     angle = arr.copy() if arr.ndim else float(arr)
-    return SpecialValue(r=angle, psi_weight=angle, **dict(zip(names, values)))
+    return SpecialValue(r=angle, **dict(zip(names, values)))
 
 
 @dataclass(frozen=True)

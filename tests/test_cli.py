@@ -5,15 +5,20 @@ validated against the bundled JSON schema and must be byte-identical
 across repeated runs and across the numeric libraries' thread counts.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import mpmath
+import numpy as np
 import pytest
 
 import heisenberg_hardy.cli as cli
@@ -48,6 +53,7 @@ ALL_COMMANDS = [
     ["sl", "--n", "1", "--rho", "1.5707963267948966", "--grid", "256", "--weighted"],
     ["sl", "--n", "1", "--rho", "1.5707963267948966", "--grid", "256"],
     ["euclid", "--d", "3", "--a", "0.7853981633974483", "--gamma", "1.0"],
+    ["euclid", "--d", "3", "--a", "0.5", "--gamma", "-0.45"],
     ["curves", "--fn", "v", "--grid", "32"],
     ["curves", "--fn", "w", "--grid", "32"],
 ]
@@ -73,6 +79,29 @@ def test_subcommand_runs_and_validates(args):
     jsonschema.validate(report, SCHEMA)
     for key in ("command", "inputs", "outputs", "tolerances", "residuals"):
         assert key in report
+
+
+# stdout of every ALL_COMMANDS argv, with the Python and numpy versions that
+# wrote it.  Rewrite it with `PYTHONPATH=src python tests/test_cli.py` after a
+# change that moves output on purpose, and list every moved value in CHANGES.md.
+_GOLDEN = Path(__file__).parent / "data" / "cli_stdout.json"
+
+
+def _stdout_of(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(args))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("args", ALL_COMMANDS, ids=lambda a: " ".join(a))
+def test_stdout_matches_golden(args):
+    golden = json.loads(_GOLDEN.read_text(encoding="utf-8"))
+    code, out = _stdout_of(args)
+    assert code == 0
+    assert out == golden["stdout"][" ".join(args)], (
+        f"golden written by Python {golden['python']}, numpy {golden['numpy']}; "
+        f"this is Python {platform.python_version()}, numpy {np.__version__}")
 
 
 @pytest.mark.parametrize("args", ALL_COMMANDS[:6] + ALL_COMMANDS[12:17], ids=lambda a: " ".join(a))
@@ -189,36 +218,68 @@ def test_output_file(tmp_path):
     jsonschema.validate(report, SCHEMA)
 
 
-@pytest.mark.parametrize("args", [
-    ["eval", "--fn", "phi", "--r", "7.0"],
-    ["invert-phi", "--a", "-1"],
-    ["geodesic", "--varpi", "1,0", "--pz", "3.0", "--steps", "4", "--tmax", "3.0"],
-    ["sl", "--n", "1", "--rho", "0.0", "--grid", "512"],
-    ["euclid", "--d", "2", "--a", "0.5", "--gamma", "1.0"],
-    ["curves", "--fn", "v", "--grid", "8"],
-    ["to-polar", "--xi", "1,0,0", "--z", "0.0"],
-    ["eval", "--fn", "mu", "--r", "7"],
-    ["eval", "--fn", "gamma", "--r", "nan"],
-    ["eval", "--fn", "mu", "--r", "1", "--n", "0"],
-    ["eval", "--fn", "mu", "--r", "1", "--n", "-3"],
-    ["check", "identities", "--n", "0"],
-    ["check", "identities", "--n", "-2"],
-    ["check", "divergence", "--n", "0"],
-    ["check", "annulus", "--n", "0"],
-    ["from-polar", "--t", "nan", "--varpi", "1,0", "--r", "1"],
-    ["dist", "--xi", "inf,0", "--z", "1"],
-    ["check", "frame", "--samples", "0"],
-    ["check", "frame", "--samples", "-3"],
-    ["check", "jacobian", "--samples", "0"],
-    ["eval", "--fn", "gamma", "--r", "1", "--n", "0"],
-    ["eval", "--fn", "phi", "--r", "1", "--n", "-1"],
-    ["sharpness", "--steps", "0"],
-], ids=lambda a: " ".join(a))
-def test_validation_errors_exit_2(args):
+_VALIDATION_ERRORS = [
+    (["eval", "--fn", "phi", "--r", "7.0"], "r must be finite with |r| <= 2*pi (max |r| = 7.0)"),
+    (["invert-phi", "--a", "-1"], "invert_phi: a must be in [0, inf]"),
+    (["geodesic", "--varpi", "1,0", "--pz", "3.0", "--steps", "4", "--tmax", "3.0"],
+     "geodesic: tmax * |pz| must stay below 2*pi"),
+    (["sl", "--n", "1", "--rho", "0.0", "--grid", "512"],
+     "sl_perp_estimate: unweighted case needs rho > 0 (Dirichlet node exists)"),
+    (["euclid", "--d", "2", "--a", "0.5", "--gamma", "1.0"],
+     "euclid_quotient: d must be an integer >= 3"),
+    (["curves", "--fn", "v", "--grid", "8"], "--grid must be at least 32"),
+    (["to-polar", "--xi", "1,0,0", "--z", "0.0"], "--xi: needs an even number of components"),
+    (["eval", "--fn", "mu", "--r", "7"], "r must be finite with |r| <= 2*pi (max |r| = 7.0)"),
+    (["eval", "--fn", "gamma", "--r", "nan"], "r must be finite with |r| <= 2*pi (max |r| = nan)"),
+    (["eval", "--fn", "mu", "--r", "1", "--n", "0"], "n must be a positive integer, got 0"),
+    (["eval", "--fn", "mu", "--r", "1", "--n", "-3"], "n must be a positive integer, got -3"),
+    (["check", "identities", "--n", "0"], "n must be a positive integer, got 0"),
+    (["check", "identities", "--n", "-2"], "n must be a positive integer, got -2"),
+    (["check", "divergence", "--n", "0"], "n must be a positive integer, got 0"),
+    (["check", "annulus", "--n", "0"], "n must be a positive integer, got 0"),
+    (["from-polar", "--t", "nan", "--varpi", "1,0", "--r", "1"],
+     "Polar: requires finite t >= 0 and |r| <= 2*pi"),
+    (["dist", "--xi", "inf,0", "--z", "1"], "to_polar: xi and z must be finite"),
+    (["check", "frame", "--samples", "0"], "--samples must be at least 1"),
+    (["check", "frame", "--samples", "-3"], "--samples must be at least 1"),
+    (["check", "jacobian", "--samples", "0"], "--samples must be at least 1"),
+    (["eval", "--fn", "gamma", "--r", "1", "--n", "0"], "n must be a positive integer, got 0"),
+    (["eval", "--fn", "phi", "--r", "1", "--n", "-1"], "n must be a positive integer, got -1"),
+    (["sharpness", "--steps", "0"],
+     "default_gamma_schedule: count must be a positive integer, got 0"),
+    # every check suite reads --n through special._dimension before any other work
+    (["check", "frame", "--n", "0"], "n must be a positive integer, got 0"),
+    (["check", "frame", "--n", "-1"], "n must be a positive integer, got -1"),
+    (["check", "jacobian", "--n", "-2"], "n must be a positive integer, got -2"),
+    (["check", "divergence", "--n", "-1"], "n must be a positive integer, got -1"),
+    # --varpi is checked before it is normalized: no numpy warning, no later error
+    (["geodesic", "--pz", "1.0", "--varpi", "0,0"],
+     "geodesic: --varpi must be finite and nonzero, got '0,0'"),
+    (["geodesic", "--pz", "1.0", "--varpi", "inf,0"],
+     "geodesic: --varpi must be finite and nonzero, got 'inf,0'"),
+    (["geodesic", "--pz", "1.0", "--varpi", "1,nan"],
+     "geodesic: --varpi must be finite and nonzero, got '1,nan'"),
+]
+
+
+@pytest.mark.parametrize("args, message", _VALIDATION_ERRORS,
+                         ids=[" ".join(args) for args, _ in _VALIDATION_ERRORS])
+def test_validation_errors_exit_2(args, message):
     proc = _run(args)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_geodesic_varpi_of_any_finite_length(capsys):
+    # only the direction of --varpi counts: lengths whose square under- or
+    # overflows give the output of the unit vector
+    def varpi_out(varpi):
+        assert cli.main(["geodesic", "--pz", "1.0", "--steps", "2", "--varpi", varpi]) == 0
+        return json.loads(capsys.readouterr().out)["inputs"]["varpi"]
+
+    assert varpi_out("1e-320,0") == varpi_out("1e200,0") == varpi_out("1,0") == [1.0, 0.0]
+    assert varpi_out("1e308,1e308") == varpi_out("3e-310,3e-310") == varpi_out("1,1")
 
 
 def test_removed_tol_and_max_evals_exit_2(capsys):
@@ -283,3 +344,13 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
     rc = cli.main(["koranyi-bound", "--n", "1"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    stdout = {}
+    for args in ALL_COMMANDS:
+        code, stdout[" ".join(args)] = _stdout_of(args)
+        assert code == 0, args
+    _GOLDEN.parent.mkdir(exist_ok=True)
+    _GOLDEN.write_text(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
+                                   "stdout": stdout}, indent=1) + "\n", encoding="utf-8")

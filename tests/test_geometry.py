@@ -27,7 +27,6 @@ from heisenberg_hardy.geometry import (
     is_horizontal,
     jacobian,
     koranyi,
-    koranyi_polar,
     to_polar,
 )
 
@@ -98,8 +97,7 @@ def test_koranyi_polar_identity():
     for _ in range(50):
         c = _random_polar(rng, n=2)
         p = from_polar(c)
-        assert abs(koranyi(p) - koranyi_polar(c)) < 1e-12 * koranyi_polar(c)
-        assert abs(koranyi_polar(c) - c.t * special.gamma(c.r)) < 1e-14 * c.t
+        assert abs(koranyi(p) - c.t * special.gamma(c.r)) < 1e-12 * c.t * special.gamma(c.r)
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +482,7 @@ def test_each_polar_evaluates_its_kernels_once(monkeypatch):
     monkeypatch.setattr(geometry, "_kernels", counted_kernels)
     monkeypatch.setattr(geometry, "_complement", counted_complement)
     c = Polar(t=1.3, varpi=_unit(2), r=2.0)
-    for fn in (from_polar, frame, jacobian, koranyi_polar):
+    for fn in (from_polar, frame, jacobian):
         fn(c)
     assert calls == {"kernels": 1, "complement": 1}
     # replace makes a new triple, with kernels of its own
@@ -500,7 +498,7 @@ def test_each_polar_evaluates_its_kernels_once(monkeypatch):
     calls["kernels"] = 0
     c = to_polar(p)
     assert calls["kernels"] == 1
-    for fn in (from_polar, frame, jacobian, koranyi_polar):
+    for fn in (from_polar, frame, jacobian):
         fn(c)
     assert calls["kernels"] == 1
     assert c.kernels == uncounted(c.r)

@@ -87,7 +87,7 @@ def test_every_entry_checks_n(n):
     for call in (lambda: special.mu(1.0, n), lambda: special.eval_weights(1.0, n),
                  lambda: special.check_identities(n), lambda: koranyi_upper_bound(n),
                  lambda: annulus_identity_check(f, 1.0, 2.0, cone_n=n),
-                 lambda: numerics.sphere_integral(1.0, n), lambda: numerics.sphere_area(n),
+                 lambda: numerics.sphere_integral(numerics.SpherePoly.constant(1.0, 2), n), lambda: numerics.sphere_area(n),
                  lambda: ConeSpec.from_rho(n, 1.0)):
         with pytest.raises(ValueError):
             call()
@@ -559,6 +559,28 @@ def test_euclid_quotient_smooth_and_singular():
         euclid_quotient(3, 2.0, 1.0)
     with pytest.raises(ValueError):
         euclid_quotient(3, 0.5, -0.5)
+
+
+def test_euclid_quotient_whole_gamma_range():
+    # down to gamma = (2-d)/2 + 1e-3, where the local power 2 gamma + d - 3
+    # at phi = pi/2 nears -1: a substitution x = pi/2 - u^(1/e) would round
+    # the distance u away and fail to converge
+    for d in (3, 4, 5, 10):
+        lo = 0.5 * (2 - d)
+        for a in (1e-3, 0.5, 1.0, 1.5, 1.57):
+            for gam in (lo + 1e-3, lo + 0.05, lo + 0.3, 0.5, 2.0):
+                assert abs(euclid_quotient(d, a, gam) - gam * gam) <= 1e-14 * gam * gam
+    # and up to large gamma, where cos(a)^(2 gamma) still has a normal float
+    for d, a, gam in ((3, 1e-3, 1000.0), (3, 1e-3, 20000.0), (5, 0.5, 2000.0),
+                      (10, 1.0, 500.0), (4, 0.3, 5000.0), (3, 1.5, 100.0)):
+        assert abs(euclid_quotient(d, a, gam) - gam * gam) <= 1e-14 * gam * gam
+
+
+def test_power_tail_of_one():
+    # int_0^span u^(e-1) du = span^e / e, every e on one call
+    e = np.array([2e-3, 0.3, 1.0, 2.5, 7.0])
+    tail = hardy._power_tail(np.ones_like, 0.7, e, 1e-10)
+    assert np.all(np.abs(tail - 0.7 ** e / e) <= 1e-14 * 0.7 ** e / e)
 
 
 def test_euclid_dimension_checked_without_int():

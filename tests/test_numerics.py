@@ -18,7 +18,6 @@ from heisenberg_hardy.numerics import (
     sl_min_eig,
     sphere_area,
     sphere_integral,
-    sphere_surface_area,
 )
 from heisenberg_hardy import hardy, numerics, special
 
@@ -55,24 +54,15 @@ def test_smooth_integrals():
         integrate(np.sin, math.pi, 0.0)
 
 
-def test_endpoint_singularities():
-    res = integrate(lambda x: x ** -0.5, 0.0, 1.0, singularity=("left", -0.5))
-    assert abs(res.value - 2.0) < 1e-12
-    res = integrate(lambda x: (1.0 - x) ** (-1.0 / 3.0), 0.0, 1.0,
-                    singularity=("right", -1.0 / 3.0))
-    assert abs(res.value - 1.5) < 1e-12
-    res = integrate(lambda x: x ** -0.9, 0.0, 1.0, singularity=("left", -0.9))
-    assert abs(res.value - 10.0) < 1e-9 * 10.0
-
-
 def test_log_singularity_without_hint():
     res = integrate(np.log, 0.0, 1.0, rtol=1e-10)
     assert abs(res.value + 1.0) < 1e-10
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 20000)
     with pytest.raises(QuadratureError):
-        integrate(lambda x: x ** -0.99, 1e-300, 1.0, rtol=1e-10, max_evals=20000)
+        integrate(lambda x: x ** -0.99, 1e-300, 1.0, rtol=1e-10)
 
 
 def test_nonfinite_integrand_raises():
@@ -83,13 +73,6 @@ def test_nonfinite_integrand_raises():
 def test_scalar_integrand_rejected():
     with pytest.raises(ValueError):
         integrate(lambda x: 1.0, 0.0, 1.0)
-
-
-def test_singularity_validation():
-    with pytest.raises(ValueError):
-        integrate(np.sin, 0.0, 1.0, singularity=("left", -1.0))
-    with pytest.raises(ValueError):
-        integrate(np.sin, 0.0, 1.0, singularity=("middle", -0.5))
 
 
 def test_vector_integrand_meets_rtol_per_component():
@@ -118,9 +101,11 @@ def test_one_dimensional_integrand_returns_floats():
     assert np.array_equal(empty.value, [0.0, 0.0]) and empty.evaluations == 0
 
 
-def test_budget_and_stall_are_reported():
-    with pytest.raises(QuadratureError, match="evaluations"):
-        integrate(np.log, 0.0, 1.0, max_evals=100)
+def test_budget_and_stall_are_reported(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_MAX_EVALS", 100)
+        with pytest.raises(QuadratureError, match="evaluations"):
+            integrate(np.log, 0.0, 1.0)
     with pytest.raises(QuadratureError, match="rounding"):
         integrate(lambda x: x ** -0.99, 1e-300, 1.0)
 
@@ -135,10 +120,10 @@ def test_root_simple():
 
 
 def test_root_tol_zero_bisects_to_ulp():
-    r = find_root_monotone(lambda x: x * x - 2.0, 0.0, 2.0, tol=0.0)
+    r = find_root_monotone(lambda x: x * x - 2.0, 0.0, 2.0)
     assert abs(r - math.sqrt(2.0)) <= 4 * np.finfo(float).eps * math.sqrt(2.0)
     # The collapse test is relative, so a root far below 1 keeps its digits.
-    r = find_root_monotone(lambda x: x - 1e-20, 0.0, 1.0, tol=0.0)
+    r = find_root_monotone(lambda x: x - 1e-20, 0.0, 1.0)
     assert abs(r - 1e-20) <= 1e-12 * 1e-20
 
 
@@ -230,11 +215,10 @@ def _perp_problem(n, rho, grid_n, weighted=True):
 
 @pytest.mark.parametrize("case", ["euler", "perp-weighted-n2"])
 def test_sl_matches_dense_reference(case):
-    bisect_tol = 1e-10
     if case == "euler":
         problem = SLProblem(p=lambda x: x * x, q=_const, a=1.0, b=math.e,
                             grid_n=256, right_bc="dirichlet")
-        res = sl_min_eig(problem, bisect_tol=bisect_tol)
+        res = sl_min_eig(problem)
     else:
         cone = hardy.ConeSpec.from_rho(2, math.pi / 2)
         problem = _perp_problem(2, cone.rho, 256)
@@ -244,7 +228,7 @@ def test_sl_matches_dense_reference(case):
     lo, hi = res.bracket
     slack = 1e-13 * abs(ref)
     assert lo - slack <= ref <= hi + slack
-    assert hi - lo <= bisect_tol * max(1.0, abs(lo), abs(hi))
+    assert hi - lo <= 1e-10 * max(1.0, abs(lo), abs(hi))
 
 
 @settings(deadline=None, max_examples=40)
@@ -253,16 +237,15 @@ def test_sl_matches_dense_reference(case):
 def test_sl_bracket_holds_dense_reference(n, log_alpha, weighted):
     # The bracket comes from two definiteness probes around the Rayleigh
     # quotient; it must hold the dense eigenvalue and lambda_min.
-    bisect_tol = 1e-10
     problem = _perp_problem(n, hardy.ConeSpec.from_alpha(n, math.exp(log_alpha)).rho, 256,
                             weighted)
-    res = sl_min_eig(problem, bisect_tol=bisect_tol)
+    res = sl_min_eig(problem)
     ref = _dense_min_eig(problem)
     lo, hi = res.bracket
     slack = 1e-13 * abs(ref)
     assert lo - slack <= ref <= hi + slack
     assert lo - slack <= res.lambda_min <= hi + slack
-    assert hi - lo <= bisect_tol * max(1.0, abs(lo), abs(hi))
+    assert hi - lo <= 1e-10 * max(1.0, abs(lo), abs(hi))
 
 
 @pytest.mark.parametrize("n, alpha, grid", [(1, 4.0, 4096), (1, 50.0, 16384)])
@@ -284,7 +267,7 @@ def test_sl_work_count(monkeypatch, n, alpha, grid):
 
 def test_sl_probe_disagreement_bisects_on(monkeypatch):
     # Make the first probe after inverse iteration report "not definite":
-    # the solver must bisect on to bisect_tol and keep that bracket.
+    # the solver must bisect on to 1e-10 and keep that bracket.
     solves = []
     lied = []
 
@@ -303,7 +286,7 @@ def test_sl_probe_disagreement_bisects_on(monkeypatch):
     monkeypatch.setattr(lapack, "dpttrf", dpttrf)
     problem = SLProblem(p=lambda x: x * x, q=_const, a=1.0, b=math.e,
                         grid_n=256, right_bc="dirichlet")
-    res = sl_min_eig(problem, bisect_tol=1e-10)
+    res = sl_min_eig(problem)
     assert lied and len(solves) > lied[0]
     ref = _dense_min_eig(problem)
     lo, hi = res.bracket
@@ -352,20 +335,22 @@ def test_sl_validation_errors():
 def test_sphere_areas():
     assert abs(sphere_area(1) - 2.0 * math.pi) < 1e-14
     assert abs(sphere_area(2) - 2.0 * math.pi ** 2) < 1e-13
-    assert abs(sphere_surface_area(3) - 4.0 * math.pi) < 1e-13
-    assert abs(sphere_surface_area(2) - 2.0 * math.pi) < 1e-14
 
 
 def test_monomial_moments():
     # int_{S^1} x^2 = pi; odd moments vanish; int_{S^3} x1^2 = pi^2/2;
     # int_{S^3} x1^2 x2^2 = pi^2/12.
-    assert abs(sphere_integral({(2, 0): 1.0}, 1) - math.pi) < 1e-14
-    assert sphere_integral({(1, 0): 1.0}, 1) == 0.0
-    assert sphere_integral({(1, 1): 1.0}, 1) == 0.0
-    assert abs(sphere_integral({(2, 0, 0, 0): 1.0}, 2) - math.pi ** 2 / 2) < 1e-13
-    assert abs(sphere_integral({(2, 2, 0, 0): 1.0}, 2) - math.pi ** 2 / 12) < 1e-14
+    assert abs(sphere_integral(SpherePoly.monomial((2, 0)), 1) - math.pi) < 1e-14
+    assert sphere_integral(SpherePoly.monomial((1, 0)), 1) == 0.0
+    assert sphere_integral(SpherePoly.monomial((1, 1)), 1) == 0.0
+    assert abs(sphere_integral(SpherePoly.monomial((2, 0, 0, 0)), 2) - math.pi ** 2 / 2) < 1e-13
+    assert abs(sphere_integral(SpherePoly.monomial((2, 2, 0, 0)), 2) - math.pi ** 2 / 12) < 1e-14
     # constant integrates to the area
-    assert abs(sphere_integral(3.0, 2) - 3.0 * sphere_area(2)) < 1e-12
+    assert abs(sphere_integral(SpherePoly.constant(3.0, 4), 2) - 3.0 * sphere_area(2)) < 1e-12
+    # only a SpherePoly on R^(2n) is integrated: no dict, number or other dimension
+    for f in (3.0, {(2, 0, 0, 0): 1.0}, SpherePoly.constant(1.0, 2)):
+        with pytest.raises(ValueError, match="SpherePoly"):
+            sphere_integral(f, 2)
 
 
 def test_sphere_poly_algebra():

@@ -481,7 +481,6 @@ def test_eval_weights_does_not_alias_its_input():
     sv = eval_weights(x)
     x[:] = 1.0
     np.testing.assert_array_equal(sv.r, np.linspace(-TWO_PI, TWO_PI, 11))
-    np.testing.assert_array_equal(sv.psi_weight, sv.r)
 
 
 def test_garofalo_identity_naive_form_agrees_where_conditioned():
