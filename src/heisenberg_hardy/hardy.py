@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry, special
 from .special import TWO_PI
-from .numerics import SLProblem, integrate, sl_min_eig, sphere_area
+from .numerics import QuadratureError, SLProblem, integrate, sl_min_eig, sphere_area
 
 
 # ----------------------------------------------------------------------
@@ -595,6 +595,11 @@ def euclid_quotient(d, a, gam):
     2 gamma + d - 3 in cos(phi) = sin(u), u = pi/2 - phi; a negative degree is
     taken out as that power of u, with sin(u)/u = c2 - u^2 m3 for cos(phi), and
     a degree >= 0 stays on sin(u), which keeps the range of cos(a)^(2 gamma).
+    The gamma-powers are taken of that factor divided by cos(a), the largest
+    cos(phi) on the cone, so that they stay normal floats near phi = a for
+    every gamma; cos(a)^(-2 gamma) cancels in the quotient.  Integrals that
+    are not finite and positive (the numerator is 0 at gamma = 0) raise
+    QuadratureError.
     """
     if not (d >= 3 and d % 1 == 0):     # NaN and inf fail too
         raise ValueError("euclid_quotient: d must be an integer >= 3")
@@ -606,16 +611,21 @@ def euclid_quotient(d, a, gam):
         raise ValueError(f"euclid_quotient: gamma must exceed (2-d)/2 = {0.5 * (2 - d)}")
 
     expo = 2.0 * gam + d - 3.0
+    cos_a = math.cos(a)
 
     def parts(u):
         c, s = np.sin(u), np.cos(u)
         if expo < 0.0:
             _, c2, m3 = special._kernels(u)
             c = c2 - u * u * m3     # sin(u)/u
-        return np.concatenate([(gam * c ** (gam - 1.0) * s) ** 2 * (c / s) * c ** (d - 2),
-                               c ** (2.0 * gam) * (s / c) * c ** (d - 2)])
+        g = (c / cos_a) ** gam
+        return np.concatenate([(gam * g * s / c) ** 2 * (c / s) * c ** (d - 2),
+                               g * g * (s / c) * c ** (d - 2)])
 
     num, den = _power_tail(parts, 0.5 * math.pi - a, [min(expo, 0.0) + 1.0], _RTOL)
+    if not (0.0 < den < math.inf and (0.0 < num < math.inf or gam == 0.0)):
+        raise QuadratureError(
+            f"euclid_quotient: integrals {num:g} and {den:g} are not finite and positive")
     return float(num / den)
 
 

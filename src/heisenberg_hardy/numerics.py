@@ -7,7 +7,7 @@ geometric and variational code sits on.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,30 +236,39 @@ _COARSE_TOL = 1e-3
 _BISECT_TOL = 1e-10
 
 
-def _bisect(d, e, tol, lo, hi=None, factors=None):
-    """Bisection for the smallest eigenvalue of the symmetric tridiagonal T
-    with diagonal ``d`` and off-diagonal ``e``: Barth, Martin & Wilkinson's
-    Sturm bisection, asking only whether T - lambda I is not positive
-    definite.  LAPACK ``dpttrf`` factors it as L D L^T and stops at the
-    first pivot <= 0, so a zero pivot moves ``hi``.  Starts from (lo, hi),
-    where ``lo`` bounds the eigenvalue from below and ``hi`` defaults to
-    min(d); stops once hi - lo <= tol * max(1, |lo|, |hi|).  Returns
-    (lo, hi, factors), the ``dpttrf`` factors of T - lo I following ``lo``
-    to each definite midpoint.
+def _factor(d, e, shift, pair):
+    """Whether T - shift I is positive definite (T symmetric tridiagonal
+    with diagonal ``d``, off-diagonal ``e``).  Writes T - shift I over
+    ``pair`` and factors it there as L D L^T with LAPACK ``dpttrf``, which
+    stops at the first pivot <= 0, so a zero pivot counts as not definite.
+    ``pair`` takes what ``dpttrf`` returns: the same arrays, unless f2py
+    had to copy one (it copies input that is not contiguous).
     """
     from scipy.linalg.lapack import dpttrf
 
-    if hi is None:
-        hi = float(np.min(d))
-        hi += 1e-12 * max(1.0, abs(hi))
+    np.subtract(d, shift, out=pair[0])
+    pair[1][...] = e
+    pair[0], pair[1], info = dpttrf(*pair, overwrite_d=1, overwrite_e=1)
+    return info == 0
+
+
+def _bisect(d, e, tol, lo, hi, pairs):
+    """Barth, Martin & Wilkinson's Sturm bisection for the smallest
+    eigenvalue of T (``_factor``'s d and e), asking only whether T - lambda I
+    is positive definite.  Starts from (lo, hi), where ``lo`` bounds the
+    eigenvalue from below, and stops once hi - lo <= tol * max(1, |lo|,
+    |hi|); returns (lo, hi).  ``pairs`` is [kept, trial]: each midpoint is
+    factored into trial, and a definite one swaps the two, so kept holds
+    the factors of T - lo I for every lo the loop sets.
+    """
     while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
-        df, ef, info = dpttrf(d - mid, e)
-        if info != 0:
-            hi = mid
+        if _factor(d, e, mid, pairs[1]):
+            lo = mid
+            pairs.reverse()
         else:
-            lo, factors = mid, (df, ef)
-    return lo, hi, factors
+            hi = mid
+    return lo, hi
 
 
 def sl_min_eig(problem):
@@ -281,7 +290,22 @@ def sl_min_eig(problem):
     bracket.  ``bracket`` is thus verified, holds ``lambda_min`` (the
     Rayleigh quotient of the returned eigenvector), and is at most
     ``_BISECT_TOL * max(1, |lo|, |hi|)`` wide.  scipy is imported here and
-    in ``_bisect`` only, so every other routine loads numpy alone.
+    in ``_factor`` only, so every other routine loads numpy alone.
+
+    Memory: one (11, m) workspace per call holds every vector of length m
+    (grid, faces, d, e, S, the iterate y, the solve v and two ``dpttrf``
+    factor pairs), filled in place.  Each shift is factored in the trial
+    pair, and a definite one swaps it with the kept pair, which so holds
+    the factors at ``lo`` without a copy; ``dpttrs`` solves in v.  Both
+    calls pass their overwrite flags: without them f2py copies every input
+    into a new array, some 45 arrays of m doubles per solve.  At m = 16384
+    each is 128 KiB, glibc's initial mmap threshold, and glibc maps each one
+    or trims the heap and faults it back in.  Part of the saving rests on
+    glibc's dynamic mmap threshold (mallopt(3)): freeing the mmapped
+    workspace raises that threshold to its size and the trim threshold to
+    twice that, which also keeps the temporaries of ``p`` and ``q`` on an
+    untrimmed heap.  ``grid`` is returned as a copy, so no result keeps the
+    workspace alive.
 
     Raises
     ------
@@ -291,7 +315,7 @@ def sl_min_eig(problem):
     numpy.linalg.LinAlgError
         if T is not numerically positive definite.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.linalg.lapack import dpttrs
 
     m = int(problem.grid_n)
     if m < 32:
@@ -302,10 +326,16 @@ def sl_min_eig(problem):
     if problem.right_bc not in ("natural", "dirichlet"):
         raise ValueError("sl_min_eig: right_bc must be 'natural' or 'dirichlet'")
 
+    work = np.empty((11, m))
+    x, xm, d, s, y, v = work[:6]
+    e = work[6, :-1]
+    pairs = [[work[7], work[8, :-1]], [work[9], work[10, :-1]]]
+
     natural = problem.right_bc == "natural"
     dx = (b - a) / (m + (0.5 if natural else 1.0))
-    x = a + dx * np.arange(1, m + 1)
-    xm = x - 0.5 * dx                      # interior flux points p_{i-1/2}
+    np.multiply(np.arange(1, m + 1), dx, out=x)
+    x += a
+    np.subtract(x, 0.5 * dx, out=xm)      # interior flux points p_{i-1/2}
     pm = np.asarray(problem.p(xm), dtype=float)
     qv = np.asarray(problem.q(x), dtype=float)
     if not (np.all(np.isfinite(pm)) and np.all(np.isfinite(qv))):
@@ -319,31 +349,36 @@ def sl_min_eig(problem):
     p_last = 0.0                          # the free end carries no flux beyond x_m
     if not natural:
         p_last = float(np.asarray(problem.p(np.array([b - 0.5 * dx])), dtype=float)[0])
-    diag = np.append(pm[:-1] + pm[1:], pm[-1] + p_last) * inv_dx2
-    off = -pm[1:] * inv_dx2
+    np.add(pm[:-1], pm[1:], out=d[:-1])
+    d[-1] = pm[-1] + p_last
+    d *= inv_dx2
+    np.multiply(pm[1:], -inv_dx2, out=e)
 
     # Reduce K u = lambda M u to standard form with S = diag(1/sqrt(q)).
-    s = 1.0 / np.sqrt(qv)
-    d = diag * s * s
-    e = off * s[:-1] * s[1:]
+    np.divide(1.0, np.sqrt(qv, out=s), out=s)
+    d *= s
+    d *= s
+    e *= s[:-1]
+    e *= s[1:]
 
     # K is positive definite (p > 0, Dirichlet at a), so 0 bounds lambda_1
     # from below; T's Gershgorin bound reaches -2e5 for small a.
-    y = np.full(m, 1.0 / math.sqrt(m))
-    lo, hi, factors = 0.0, None, None
-    tol = _COARSE_TOL
+    y.fill(1.0 / math.sqrt(m))
+    hi = float(np.min(d))
+    hi += 1e-12 * max(1.0, abs(hi))
+    lo, tol = 0.0, _COARSE_TOL
     while True:
-        lo, hi, factors = _bisect(d, e, tol, lo, hi, factors)
-        if factors is None:               # no midpoint was definite: lo is 0
-            *factors, info = dpttrf(d, e)
-            if info != 0:
-                raise np.linalg.LinAlgError("sl_min_eig: T is not numerically positive definite")
+        lo, hi = _bisect(d, e, tol, lo, hi, pairs)
+        # lo is 0 only if no midpoint was definite
+        if lo == 0.0 and not _factor(d, e, 0.0, pairs[0]):
+            raise np.linalg.LinAlgError("sl_min_eig: T is not numerically positive definite")
         # v = (T - lo I)^(-1) y has the Rayleigh quotient lo + v.y / v.v
         lam, step = lo, math.inf
         while True:
-            v = dpttrs(*factors, y)[0]
+            v[...] = y
+            v = dpttrs(*pairs[0], v, overwrite_b=1)[0]
             new = lo + float(v @ y) / float(v @ v)
-            y = v / np.linalg.norm(v)
+            np.divide(v, np.linalg.norm(v), out=y)
             change, lam = abs(new - lam), new
             if change <= 1e-14 * max(1.0, abs(lam)) or change >= step:
                 break
@@ -352,14 +387,15 @@ def sl_min_eig(problem):
             lam = min(max(lam, lo), hi)
             break
         half = 0.45 * _BISECT_TOL * max(1.0, abs(lam))
-        if dpttrf(d - (lam - half), e)[2] == 0 and dpttrf(d - (lam + half), e)[2] != 0:
+        if (_factor(d, e, lam - half, pairs[1])
+                and not _factor(d, e, lam + half, pairs[1])):
             lo, hi = lam - half, lam + half
             break
         tol = _BISECT_TOL
 
     u = y * s
-    u = u / u[np.argmax(np.abs(u))]
-    return EigResult(lambda_min=lam, grid=x, eigvec=u, bracket=(lo, hi))
+    u /= u[np.argmax(np.abs(u, out=v))]
+    return EigResult(lambda_min=lam, grid=x.copy(), eigvec=u, bracket=(lo, hi))
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """The public surface: the names the package exports and the optional
 parameters of each, read with inspect.signature.  A change here is a
-contract change, to be listed in README and CHANGES.md."""
+contract change, to be listed in README and CHANGES.md.  Also: no module
+imports a name it does not use."""
 
+import ast
 import inspect
 import types
+from pathlib import Path
 
 import heisenberg_hardy
 
@@ -63,3 +66,19 @@ def test_optional_parameters():
             optional[name] = found
     assert optional == OPTIONAL
     assert sum(map(len, OPTIONAL.values())) == 21
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export; every other module uses what it imports
+    unused = {}
+    for path in sorted(Path(heisenberg_hardy.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

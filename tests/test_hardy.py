@@ -570,9 +570,10 @@ def test_euclid_quotient_whole_gamma_range():
         for a in (1e-3, 0.5, 1.0, 1.5, 1.57):
             for gam in (lo + 1e-3, lo + 0.05, lo + 0.3, 0.5, 2.0):
                 assert abs(euclid_quotient(d, a, gam) - gam * gam) <= 1e-14 * gam * gam
-    # and up to large gamma, where cos(a)^(2 gamma) still has a normal float
+    # and up to large gamma, also where cos(a)^(2 gamma) leaves the normal floats
     for d, a, gam in ((3, 1e-3, 1000.0), (3, 1e-3, 20000.0), (5, 0.5, 2000.0),
-                      (10, 1.0, 500.0), (4, 0.3, 5000.0), (3, 1.5, 100.0)):
+                      (10, 1.0, 500.0), (4, 0.3, 5000.0), (3, 1.5, 100.0),
+                      (3, 1.5, 150.0), (3, 1.0, 600.0), (3, 0.5, 2750.0)):
         assert abs(euclid_quotient(d, a, gam) - gam * gam) <= 1e-14 * gam * gam
 
 

@@ -255,9 +255,9 @@ def test_sl_work_count(monkeypatch, n, alpha, grid):
     # where plain bisection to 1e-10 alone needs 34-47 factorizations.
     calls = []
     for name in ("dpttrf", "dpttrs"):
-        def counted(*args, _name=name, _f=getattr(lapack, name)):
+        def counted(*args, _name=name, _f=getattr(lapack, name), **kw):
             calls.append(_name)
-            return _f(*args)
+            return _f(*args, **kw)
         monkeypatch.setattr(lapack, name, counted)
     res = hardy.sl_perp_estimate(hardy.ConeSpec.from_alpha(n, alpha), grid_n=grid)
     assert len(calls) <= 25, calls
@@ -271,12 +271,12 @@ def test_sl_probe_disagreement_bisects_on(monkeypatch):
     solves = []
     lied = []
 
-    def dpttrs(*args, _f=lapack.dpttrs):
+    def dpttrs(*args, _f=lapack.dpttrs, **kw):
         solves.append(1)
-        return _f(*args)
+        return _f(*args, **kw)
 
-    def dpttrf(d, e, _f=lapack.dpttrf):
-        out = _f(d, e)
+    def dpttrf(d, e, _f=lapack.dpttrf, **kw):
+        out = _f(d, e, **kw)
         if solves and not lied:
             lied.append(len(solves))
             return out[0], out[1], 1
@@ -299,18 +299,48 @@ def test_sl_probe_disagreement_bisects_on(monkeypatch):
 def test_sl_bracket_zero_pivot_moves_hi():
     # T = lam I + (path Laplacian with free ends): T - lam I = L D L^T with
     # D = (1, ..., 1, 0), computed exactly in floating point.  The bisection
-    # starts from lo = 0 (every Gershgorin bound is lam > 0) and
-    # hi0 = min(d) (1 + 1e-12), and lam is the float for which the first
-    # midpoint hi0/2 is exactly lam.  The exact zero pivot must count as
-    # "not positive definite", so hi lands on lam.
+    # starts, as sl_min_eig does, from lo = 0 (every Gershgorin bound is
+    # lam > 0) and hi0 = min(d) (1 + 1e-12), and lam is the float for which
+    # the first midpoint hi0/2 is exactly lam.  The exact zero pivot must
+    # count as "not positive definite", so hi lands on lam.
     lam = 1.0 + 9008 * 2.0 ** -52
     lap = np.concatenate(([1.0], np.full(30, 2.0), [1.0]))
     d, e = lam + lap, -np.ones(31)
     assert np.array_equal(d - lam, lap)
     assert dpttrf(d - lam, e)[2] == 32
-    lo, hi = numerics._bisect(d, e, 1e-10, 0.0)[:2]
+    hi0 = float(np.min(d))
+    hi0 += 1e-12 * max(1.0, abs(hi0))
+    pairs = [[np.empty(32), np.empty(31)] for _ in range(2)]
+    lo, hi = numerics._bisect(d, e, 1e-10, 0.0, hi0, pairs)
     assert hi == lam
     assert lo < lam
+
+
+def test_sl_solves_in_one_workspace(monkeypatch):
+    # Every vector the LAPACK calls of one solve receive is a view of one
+    # workspace, passed with its overwrite flags set, and comes back as the
+    # same array: f2py factors and solves in place and allocates nothing.
+    seen = []
+    for name, flags in (("dpttrf", ("overwrite_d", "overwrite_e")),
+                        ("dpttrs", ("overwrite_b",))):
+        def recorded(*args, _f=getattr(lapack, name), _flags=flags, **kw):
+            out = _f(*args, **kw)
+            # dpttrf overwrites d and e, dpttrs the right-hand side b
+            written = args if len(_flags) == 2 else args[2:]
+            seen.append((args, [kw.get(flag) for flag in _flags], written, out[:-1]))
+            return out
+        monkeypatch.setattr(lapack, name, recorded)
+    res = hardy.sl_perp_estimate(hardy.ConeSpec.from_alpha(2, 1.0), grid_n=16384)
+    assert len(seen) >= 10
+    work = seen[0][0][0].base
+    assert work is not None and work.shape[1] == 16384
+    for args, flags, written, out in seen:
+        assert all(a.base is work for a in args)
+        assert flags == [1] * len(flags)
+        assert len(out) == len(written) and all(o is a for o, a in zip(out, written))
+    assert not np.shares_memory(res.grid, work) and not np.shares_memory(res.eigvec, work)
+    lo, hi = res.bracket
+    assert lo <= res.lambda_min <= hi
 
 
 def test_sl_validation_errors():
