@@ -82,3 +82,20 @@ def test_every_imported_name_is_used():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+def test_no_module_imports_scipy_linalg():
+    # numerics._lapack loads the one LAPACK extension sl_min_eig uses; the
+    # scipy.linalg package __init__ would add some 230 ms and 23 MB to `hh sl`
+    found = []
+    for path in sorted(Path(heisenberg_hardy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
+    assert found == []

@@ -1,12 +1,12 @@
 """Unit tests for quadrature, root finding, the 1-D eigensolver, and sphere moments."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 from scipy.linalg.lapack import dpttrf
 
 from heisenberg_hardy.numerics import (
@@ -254,13 +254,14 @@ def test_sl_work_count(monkeypatch, n, alpha, grid):
     # inverse iteration on its last factors and two probes take 15-16 here,
     # where plain bisection to 1e-10 alone needs 34-47 factorizations.
     calls = []
+    lapack = numerics._lapack()
     for name in ("dpttrf", "dpttrs"):
         def counted(*args, _name=name, _f=getattr(lapack, name), **kw):
             calls.append(_name)
             return _f(*args, **kw)
         monkeypatch.setattr(lapack, name, counted)
     res = hardy.sl_perp_estimate(hardy.ConeSpec.from_alpha(n, alpha), grid_n=grid)
-    assert len(calls) <= 25, calls
+    assert 0 < len(calls) <= 25, calls
     lo, hi = res.bracket
     assert lo <= res.lambda_min <= hi
 
@@ -270,6 +271,7 @@ def test_sl_probe_disagreement_bisects_on(monkeypatch):
     # the solver must bisect on to 1e-10 and keep that bracket.
     solves = []
     lied = []
+    lapack = numerics._lapack()
 
     def dpttrs(*args, _f=lapack.dpttrs, **kw):
         solves.append(1)
@@ -311,7 +313,7 @@ def test_sl_bracket_zero_pivot_moves_hi():
     hi0 = float(np.min(d))
     hi0 += 1e-12 * max(1.0, abs(hi0))
     pairs = [[np.empty(32), np.empty(31)] for _ in range(2)]
-    lo, hi = numerics._bisect(d, e, 1e-10, 0.0, hi0, pairs)
+    lo, hi = numerics._bisect(d, e, 1e-10, 0.0, hi0, pairs, dpttrf)
     assert hi == lam
     assert lo < lam
 
@@ -321,6 +323,7 @@ def test_sl_solves_in_one_workspace(monkeypatch):
     # workspace, passed with its overwrite flags set, and comes back as the
     # same array: f2py factors and solves in place and allocates nothing.
     seen = []
+    lapack = numerics._lapack()
     for name, flags in (("dpttrf", ("overwrite_d", "overwrite_e")),
                         ("dpttrs", ("overwrite_b",))):
         def recorded(*args, _f=getattr(lapack, name), _flags=flags, **kw):
@@ -341,6 +344,14 @@ def test_sl_solves_in_one_workspace(monkeypatch):
     assert not np.shares_memory(res.grid, work) and not np.shares_memory(res.eigvec, work)
     lo, hi = res.bracket
     assert lo <= res.lambda_min <= hi
+
+
+def test_lapack_extension_missing(monkeypatch):
+    # the loader names the extension it cannot find and falls back on nothing
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(numerics, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match="scipy.linalg._flapack"):
+        numerics._lapack()
 
 
 def test_sl_validation_errors():
