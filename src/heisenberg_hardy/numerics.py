@@ -10,7 +10,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 
 import numpy as np
@@ -241,15 +240,16 @@ _BISECT_TOL = 1e-10
 
 
 def _lapack():
-    """scipy's f2py LAPACK extension, loaded from its file: ``import
-    scipy.linalg`` would also run that package's ``__init__`` (about 230 ms
-    and 23 MB), and ``import scipy`` alone sets up the bundled OpenBLAS.  It
-    is registered in ``sys.modules``, so ``scipy.linalg.lapack`` reuses it."""
+    """scipy's f2py LAPACK extension, found by the standard finders under
+    scipy's own path: ``import scipy.linalg`` would also run that package's
+    ``__init__`` (about 230 ms and 23 MB), and ``import scipy`` alone sets up
+    the bundled OpenBLAS.  It is registered in ``sys.modules``, so
+    ``scipy.linalg.lapack`` reuses it."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
         import scipy
-        spec = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
-                          (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        paths = [os.path.join(p, "linalg") for p in scipy.__path__]
+        spec = next(filter(None, (f.find_spec(name, paths) for f in sys.meta_path)), None)
         if spec is None:
             raise ImportError(f"no LAPACK extension {name}", name=name)
         module = module_from_spec(spec)
@@ -258,7 +258,7 @@ def _lapack():
     return sys.modules[name]
 
 
-def _factor(d, e, shift, pair, dpttrf):
+def _factor(d, e, shift, pair):
     """Whether T - shift I is positive definite (T symmetric tridiagonal
     with diagonal ``d``, off-diagonal ``e``).  Writes T - shift I over
     ``pair`` and factors it there as L D L^T with LAPACK ``dpttrf``, which
@@ -268,11 +268,11 @@ def _factor(d, e, shift, pair, dpttrf):
     """
     np.subtract(d, shift, out=pair[0])
     pair[1][...] = e
-    pair[0], pair[1], info = dpttrf(*pair, overwrite_d=1, overwrite_e=1)
+    pair[0], pair[1], info = _lapack().dpttrf(*pair, overwrite_d=1, overwrite_e=1)
     return info == 0
 
 
-def _bisect(d, e, tol, lo, hi, pairs, dpttrf):
+def _bisect(d, e, tol, lo, hi, pairs):
     """Barth, Martin & Wilkinson's Sturm bisection for the smallest
     eigenvalue of T (``_factor``'s d and e), asking only whether T - lambda I
     is positive definite.  Starts from (lo, hi), where ``lo`` bounds the
@@ -283,7 +283,7 @@ def _bisect(d, e, tol, lo, hi, pairs, dpttrf):
     """
     while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
-        if _factor(d, e, mid, pairs[1], dpttrf):
+        if _factor(d, e, mid, pairs[1]):
             lo = mid
             pairs.reverse()
         else:
@@ -309,8 +309,8 @@ def sl_min_eig(problem):
     the loop bisects on to _BISECT_TOL, iterates again and keeps that
     bracket.  ``bracket`` is thus verified, holds ``lambda_min`` (the
     Rayleigh quotient of the returned eigenvector), and is at most
-    ``_BISECT_TOL * max(1, |lo|, |hi|)`` wide.  ``_lapack`` gives ``dpttrf``
-    and ``dpttrs`` once per call: no other routine loads scipy.
+    ``_BISECT_TOL * max(1, |lo|, |hi|)`` wide.  ``_lapack`` gives ``dpttrs``
+    here and ``dpttrf`` in ``_factor``: no other routine loads scipy.
 
     Memory: one (11, m) workspace per call holds every vector of length m
     (grid, faces, d, e, S, the iterate y, the solve v and two ``dpttrf``
@@ -344,8 +344,7 @@ def sl_min_eig(problem):
     if problem.right_bc not in ("natural", "dirichlet"):
         raise ValueError("sl_min_eig: right_bc must be 'natural' or 'dirichlet'")
 
-    lapack = _lapack()
-    dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
+    dpttrs = _lapack().dpttrs
     work = np.empty((11, m))
     x, xm, d, s, y, v = work[:6]
     e = work[6, :-1]
@@ -388,9 +387,9 @@ def sl_min_eig(problem):
     hi += 1e-12 * max(1.0, abs(hi))
     lo, tol = 0.0, _COARSE_TOL
     while True:
-        lo, hi = _bisect(d, e, tol, lo, hi, pairs, dpttrf)
+        lo, hi = _bisect(d, e, tol, lo, hi, pairs)
         # lo is 0 only if no midpoint was definite
-        if lo == 0.0 and not _factor(d, e, 0.0, pairs[0], dpttrf):
+        if lo == 0.0 and not _factor(d, e, 0.0, pairs[0]):
             raise np.linalg.LinAlgError("sl_min_eig: T is not numerically positive definite")
         # v = (T - lo I)^(-1) y has the Rayleigh quotient lo + v.y / v.v
         lam, step = lo, math.inf
@@ -407,8 +406,8 @@ def sl_min_eig(problem):
             lam = min(max(lam, lo), hi)
             break
         half = 0.45 * _BISECT_TOL * max(1.0, abs(lam))
-        if (_factor(d, e, lam - half, pairs[1], dpttrf)
-                and not _factor(d, e, lam + half, pairs[1], dpttrf)):
+        if (_factor(d, e, lam - half, pairs[1])
+                and not _factor(d, e, lam + half, pairs[1])):
             lo, hi = lam - half, lam + half
             break
         tol = _BISECT_TOL

@@ -218,9 +218,6 @@ _PHI_ASYMPTOTE_SWITCH = 8.0
 
 def _asymptotic_start(a):
     """The asymptotic inverses r = 12/a and r = 2*pi - sqrt(pi a) of phi."""
-    if not a.ndim:                      # np.float64: _kernels reads .ndim
-        return np.float64(12.0 / a if a > _PHI_ASYMPTOTE_SWITCH
-                          else TWO_PI - math.sqrt(math.pi * a))
     return np.where(a > _PHI_ASYMPTOTE_SWITCH,
                     12.0 / np.maximum(a, _PHI_ASYMPTOTE_SWITCH),
                     TWO_PI - np.sqrt(math.pi * np.minimum(a, _PHI_ASYMPTOTE_SWITCH)))

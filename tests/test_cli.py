@@ -321,7 +321,11 @@ res = sl_min_eig(SLProblem(p=lambda x: x * x, q=lambda x: 1.0 + 0.0 * x, a=1.0, 
 loaded.append("scipy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["sl", "--n", "1", "--rho", "1.5", "--grid", "256", "--weighted"]) == 0
-print(json.dumps({"loaded": loaded, "linalg": "scipy.linalg" in sys.modules,
+linalg = "scipy.linalg" in sys.modules
+from scipy.linalg import lapack
+from heisenberg_hardy import numerics
+print(json.dumps({"loaded": loaded, "linalg": linalg,
+                  "same": numerics._lapack().dpttrf is lapack.dpttrf,
                   "result": [x.hex() for x in (res.lambda_min,) + tuple(res.bracket)]}))
 """
 
@@ -330,13 +334,15 @@ def test_scipy_loads_only_for_sl_min_eig():
     # one child for all three stages: scipy must not be in sys.modules
     # before the first SL solve, the solves (and `hh sl`) must not import
     # the scipy.linalg package, and the solve must match this process's,
-    # which loaded the same routines through scipy.linalg (imported above)
+    # which loaded the same routines through scipy.linalg (imported above);
+    # the child imports scipy.linalg after its solves, the other order
     proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_CHILD],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
     assert child["loaded"] == [False, False, True]
     assert child["linalg"] is False
+    assert child["same"] is True
     assert numerics._lapack().dpttrf is lapack.dpttrf
     res = sl_min_eig(SLProblem(p=lambda x: x * x, q=lambda x: 1.0 + 0.0 * x, a=1.0, b=math.e,
                                grid_n=256, right_bc="dirichlet"))
