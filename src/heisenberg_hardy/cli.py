@@ -177,16 +177,8 @@ def _random_polar(rng, n, t_range=(0.1, 10.0), r_min=1e-6, r_max=TWO_PI - 1e-6):
 # ----------------------------------------------------------------------
 
 def _cmd_eval(args):
-    fn = args.fn
-    r = args.r
-    n = special._dimension(args.n)     # read only by mu, checked for every fn
-    if fn == "phi":
-        value = special.eval_phi(r)
-    elif fn == "mu":
-        value = special.mu(r, n)
-    else:
-        value = getattr(special, fn)(r)
-    return _report("eval", {"fn": fn, "r": r, "n": n}, {"value": float(value)})
+    value = getattr(special.eval_weights(args.r, args.n), args.fn)
+    return _report("eval", {"fn": args.fn, "r": args.r, "n": args.n}, {"value": value})
 
 
 def _cmd_invert_phi(args):

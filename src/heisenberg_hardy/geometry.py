@@ -183,7 +183,7 @@ def group_inverse(p):
 def dilate(lam, p):
     """Anisotropic dilation (xi, z) -> (lam xi, lam^2 z), lam > 0."""
     lam = float(lam)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("dilate: lam must be positive")
     return Point(lam * p.xi, lam * lam * p.z)
 

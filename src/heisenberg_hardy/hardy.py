@@ -71,7 +71,7 @@ def smoothstep_profile(a, width):
     """Cubic C^1 smoothstep rising 0 -> 1 on (a, a + width)."""
     a = float(a)
     width = float(width)
-    if width <= 0.0:
+    if not width > 0.0:
         raise ValueError("smoothstep_profile: width must be positive")
 
     def fn(x):
@@ -441,6 +441,8 @@ def santalo_geometry_check(n=1, alpha=4.0, samples=64, seed=0):
     inside and outside), so its diameter is bounded by the cap value
     (sqrt(z_0)/2) sqrt(alpha (16 + alpha^2)), and z_0 <= delta(p)^2/(2*pi).
     """
+    if samples < 1:
+        raise ValueError("santalo_geometry_check: samples must be at least 1")
     from .numerics import find_root_monotone
 
     def stationarity(r):
@@ -528,9 +530,7 @@ def sl_perp_estimate(cone, grid_n=1024, weighted=True):
         muv = special._mu(r, *special._kernels(r), n)
         return r * muv if weighted else muv
 
-    problem = SLProblem(p=p, q=q, a=rho, b=TWO_PI, grid_n=int(grid_n),
-                        right_bc="natural")
-    return sl_min_eig(problem)
+    return sl_min_eig(SLProblem(p=p, q=q, a=rho, b=TWO_PI, grid_n=int(grid_n)))
 
 
 # ----------------------------------------------------------------------

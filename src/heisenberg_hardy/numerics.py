@@ -172,7 +172,7 @@ def find_root_monotone(f, lo, hi):
     Raises
     ------
     ValueError
-        if f(lo) and f(hi) do not straddle zero.
+        if f(lo) and f(hi) do not straddle zero (a NaN never does).
     """
     lo = float(lo)
     hi = float(hi)
@@ -184,7 +184,7 @@ def find_root_monotone(f, lo, hi):
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if not flo * fhi <= 0.0:
         raise ValueError("find_root_monotone: f(lo) and f(hi) have the same sign")
     sign_lo = math.copysign(1.0, flo)
 
@@ -211,16 +211,15 @@ def find_root_monotone(f, lo, hi):
 class SLProblem:
     """The weak form  int p u'^2 / int q u^2  on (a, b).
 
-    Discretized with a Dirichlet condition at ``a`` and, at ``b``, either
-    the natural (free) condition or another Dirichlet condition.  ``p`` and
-    ``q`` must be vectorized callables, positive on the open interval.
+    Discretized with a Dirichlet condition at ``a`` and the natural (free)
+    condition at ``b``.  ``p`` and ``q`` must be vectorized callables,
+    positive on the open interval.
     """
     p: object
     q: object
     a: float
     b: float
     grid_n: int = 1024
-    right_bc: str = "natural"
 
 
 @dataclass(frozen=True)
@@ -295,9 +294,9 @@ def sl_min_eig(problem):
     """Smallest generalized eigenvalue of -(p u')' = lambda q u.
 
     Second-order finite volumes on a staggered grid: fluxes use ``p`` at
-    cell midpoints, masses use ``q`` at the nodes.  With the natural right
-    condition the last node sits half a cell inside ``b`` so the free
-    endpoint is handled without one-sided differences.
+    cell midpoints, masses use ``q`` at the nodes.  The last node sits half
+    a cell inside ``b`` and carries no flux beyond it, so the free endpoint
+    is handled without one-sided differences.
 
     With S = diag(q^(-1/2)) the problem becomes a symmetric tridiagonal T.
     One loop bisects on the definiteness of T - lambda I (``_bisect``) to
@@ -341,8 +340,6 @@ def sl_min_eig(problem):
     a, b = float(problem.a), float(problem.b)
     if not b > a:
         raise ValueError("sl_min_eig: requires b > a")
-    if problem.right_bc not in ("natural", "dirichlet"):
-        raise ValueError("sl_min_eig: right_bc must be 'natural' or 'dirichlet'")
 
     dpttrs = _lapack().dpttrs
     work = np.empty((11, m))
@@ -350,8 +347,7 @@ def sl_min_eig(problem):
     e = work[6, :-1]
     pairs = [[work[7], work[8, :-1]], [work[9], work[10, :-1]]]
 
-    natural = problem.right_bc == "natural"
-    dx = (b - a) / (m + (0.5 if natural else 1.0))
+    dx = (b - a) / (m + 0.5)
     np.multiply(np.arange(1, m + 1), dx, out=x)
     x += a
     np.subtract(x, 0.5 * dx, out=xm)      # interior flux points p_{i-1/2}
@@ -365,11 +361,8 @@ def sl_min_eig(problem):
         raise ValueError("sl_min_eig: stiffness weight p must be positive on the grid")
 
     inv_dx2 = 1.0 / (dx * dx)
-    p_last = 0.0                          # the free end carries no flux beyond x_m
-    if not natural:
-        p_last = float(np.asarray(problem.p(np.array([b - 0.5 * dx])), dtype=float)[0])
     np.add(pm[:-1], pm[1:], out=d[:-1])
-    d[-1] = pm[-1] + p_last
+    d[-1] = pm[-1]                        # the free end carries no flux beyond x_m
     d *= inv_dx2
     np.multiply(pm[1:], -inv_dx2, out=e)
 

@@ -27,7 +27,7 @@ EXPORTED = {
 }
 
 OPTIONAL = {
-    "SLProblem": ("grid_n", "right_bc"),
+    "SLProblem": ("grid_n",),
     "SpherePoly": ("terms",),
     "annulus_identity_check": ("cone_n",),
     "check_identities": ("n", "grid_size"),
@@ -65,7 +65,7 @@ def test_optional_parameters():
         if found:
             optional[name] = found
     assert optional == OPTIONAL
-    assert sum(map(len, OPTIONAL.values())) == 21
+    assert sum(map(len, OPTIONAL.values())) == 20
 
 
 def test_every_imported_name_is_used():

@@ -317,7 +317,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["eval", "--fn", "phi", "--r", "1"]) == 0
 loaded.append("scipy" in sys.modules)
 res = sl_min_eig(SLProblem(p=lambda x: x * x, q=lambda x: 1.0 + 0.0 * x, a=1.0, b=math.e,
-                           grid_n=256, right_bc="dirichlet"))
+                           grid_n=256))
 loaded.append("scipy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["sl", "--n", "1", "--rho", "1.5", "--grid", "256", "--weighted"]) == 0
@@ -345,7 +345,7 @@ def test_scipy_loads_only_for_sl_min_eig():
     assert child["same"] is True
     assert numerics._lapack().dpttrf is lapack.dpttrf
     res = sl_min_eig(SLProblem(p=lambda x: x * x, q=lambda x: 1.0 + 0.0 * x, a=1.0, b=math.e,
-                               grid_n=256, right_bc="dirichlet"))
+                               grid_n=256))
     assert child["result"] == [x.hex() for x in (res.lambda_min,) + tuple(res.bracket)]
 
 

@@ -182,6 +182,9 @@ def test_polar_validation():
             to_polar(Point(np.array(xi), z))
     with pytest.raises(ValueError):
         Point(xi=np.array([1.0, 0.0, 0.5]), z=0.0)
+    for lam in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            dilate(lam, Point(np.array([1.0, 0.0]), 1.0))
 
 
 def test_cc_distance_examples():

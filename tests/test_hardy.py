@@ -118,6 +118,9 @@ def test_smoothstep_plateaus():
     assert float(prof.fn(3.5)) == 1.0
     assert float(prof.dfn(2.25)) > 0.0
     assert float(prof.dfn(1.9)) == 0.0 and float(prof.dfn(2.6)) == 0.0
+    for width in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="width must be positive"):
+            smoothstep_profile(2.0, width)
 
 
 # ----------------------------------------------------------------------
@@ -501,6 +504,10 @@ def test_santalo_geometry():
     assert abs(rep.max_value - 1.0 / (2.0 * math.pi)) < 1e-12
     assert rep.ball_membership_failures == 0
     assert rep.stationarity_residual < 1e-10
+    # no samples would pass with an infinite chord margin
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            santalo_geometry_check(samples=samples)
 
 
 def test_cone_bounds_values():

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy
@@ -131,6 +132,10 @@ def test_root_tol_zero_bisects_to_ulp():
 def test_root_requires_bracket():
     with pytest.raises(ValueError):
         find_root_monotone(lambda x: x + 10.0, 0.0, 1.0)
+    # NaN straddles nothing: no bisection to a plausible end point
+    for f in (lambda x: math.nan, lambda x: math.nan if x > 0.5 else -1.0):
+        with pytest.raises(ValueError, match="same sign"):
+            find_root_monotone(f, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -147,38 +152,36 @@ def test_sl_free_end_quarter():
     # (discrete symbol (2 - 2cos kh)/h^2 <= k^2), so only closeness is
     # asserted, not one-sidedness.
     lam = sl_min_eig(SLProblem(p=_const, q=_const, a=0.0, b=math.pi,
-                               grid_n=2048, right_bc="natural")).lambda_min
+                               grid_n=2048)).lambda_min
     assert abs(lam - 0.25) < 1e-6
-
-
-def test_sl_dirichlet_unit():
-    lam = sl_min_eig(SLProblem(p=_const, q=_const, a=0.0, b=math.pi,
-                               grid_n=2048, right_bc="dirichlet")).lambda_min
-    assert abs(lam - 1.0) < 1e-5
 
 
 def test_sl_second_order_convergence():
     errs = []
     for m in (256, 512, 1024):
         lam = sl_min_eig(SLProblem(p=_const, q=_const, a=0.0, b=math.pi,
-                                   grid_n=m, right_bc="natural")).lambda_min
+                                   grid_n=m)).lambda_min
         errs.append(abs(lam - 0.25))
     assert errs[0] > errs[1] > errs[2] > 0.0
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
 
 
+def _euler_problem(grid_n):
+    # -(x^2 u')' = lambda u on (1, e), u(1) = 0, free at e:
+    # u = x^(-1/2) sin(k ln x), and u'(e) = 0 needs tan k = 2k
+    return SLProblem(p=lambda x: x * x, q=_const, a=1.0, b=math.e, grid_n=grid_n)
+
+
 def test_sl_variable_coefficients():
-    # Euler problem -(x^2 u')' = lambda u on (1, e) with Dirichlet ends:
-    # u = x^(-1/2) sin(k ln x), eigenvalues 1/4 + (m pi)^2.
-    lam = sl_min_eig(SLProblem(p=lambda x: x * x, q=_const, a=1.0, b=math.e,
-                               grid_n=4096, right_bc="dirichlet")).lambda_min
-    assert abs(lam - (0.25 + math.pi ** 2)) < 1e-3
+    # the smallest root k = 1.1655611852..., lambda_1 = 1/4 + k^2 = 1.6085328764...
+    k = float(mpmath.findroot(lambda k: mpmath.tan(k) - 2 * k, 1.1))
+    lam = sl_min_eig(_euler_problem(4096)).lambda_min
+    assert abs(lam - (0.25 + k * k)) < 1e-7
 
 
 def test_sl_eigvec_shape_and_normalization():
-    res = sl_min_eig(SLProblem(p=_const, q=_const, a=0.0, b=math.pi,
-                               grid_n=256, right_bc="natural"))
+    res = sl_min_eig(SLProblem(p=_const, q=_const, a=0.0, b=math.pi, grid_n=256))
     assert res.eigvec.shape == res.grid.shape
     assert abs(np.max(np.abs(res.eigvec)) - 1.0) < 1e-12
     lo, hi = res.bracket
@@ -192,13 +195,10 @@ def _dense_min_eig(problem):
     of the finite-volume discretization, assembled densely and solved by
     numpy's symmetric eigensolver."""
     m, a, b = problem.grid_n, problem.a, problem.b
-    natural = problem.right_bc == "natural"
-    dx = (b - a) / (m + (0.5 if natural else 1.0))
+    dx = (b - a) / (m + 0.5)
     x = a + dx * np.arange(1, m + 1)
     # fluxes at the m + 1 cell faces; the free end carries no flux
-    faces = np.asarray(problem.p(np.append(x - 0.5 * dx, b - 0.5 * dx)), dtype=float)
-    if natural:
-        faces[-1] = 0.0
+    faces = np.append(np.asarray(problem.p(x - 0.5 * dx), dtype=float), 0.0)
     k = (np.diag(faces[:-1] + faces[1:]) - np.diag(faces[1:-1], 1)
          - np.diag(faces[1:-1], -1)) / dx ** 2
     s = 1.0 / np.sqrt(np.asarray(problem.q(x), dtype=float))
@@ -211,14 +211,13 @@ def _perp_problem(n, rho, grid_n, weighted=True):
         return r if weighted else 1.0
     return SLProblem(p=lambda r: special.rw(r) ** 2 / weight(r) * special.mu(r, n),
                      q=lambda r: weight(r) * special.mu(r, n), a=rho, b=TWO_PI,
-                     grid_n=grid_n, right_bc="natural")
+                     grid_n=grid_n)
 
 
 @pytest.mark.parametrize("case", ["euler", "perp-weighted-n2"])
 def test_sl_matches_dense_reference(case):
     if case == "euler":
-        problem = SLProblem(p=lambda x: x * x, q=_const, a=1.0, b=math.e,
-                            grid_n=256, right_bc="dirichlet")
+        problem = _euler_problem(256)
         res = sl_min_eig(problem)
     else:
         cone = hardy.ConeSpec.from_rho(2, math.pi / 2)
@@ -287,8 +286,7 @@ def test_sl_probe_disagreement_bisects_on(monkeypatch):
 
     monkeypatch.setattr(lapack, "dpttrs", dpttrs)
     monkeypatch.setattr(lapack, "dpttrf", dpttrf)
-    problem = SLProblem(p=lambda x: x * x, q=_const, a=1.0, b=math.e,
-                        grid_n=256, right_bc="dirichlet")
+    problem = _euler_problem(256)
     res = sl_min_eig(problem)
     assert lied and len(solves) > lied[0]
     ref = _dense_min_eig(problem)
@@ -357,17 +355,11 @@ def test_lapack_extension_missing(monkeypatch):
 
 def test_sl_validation_errors():
     with pytest.raises(ValueError):
-        sl_min_eig(SLProblem(p=_const, q=lambda x: 0.0 * x, a=0.0, b=1.0,
-                             grid_n=256, right_bc="natural"))
+        sl_min_eig(SLProblem(p=_const, q=lambda x: 0.0 * x, a=0.0, b=1.0, grid_n=256))
     with pytest.raises(ValueError):
-        sl_min_eig(SLProblem(p=_const, q=_const, a=0.0, b=1.0,
-                             grid_n=16, right_bc="natural"))
+        sl_min_eig(SLProblem(p=_const, q=_const, a=0.0, b=1.0, grid_n=16))
     with pytest.raises(ValueError):
-        sl_min_eig(SLProblem(p=_const, q=_const, a=1.0, b=1.0,
-                             grid_n=256, right_bc="natural"))
-    with pytest.raises(ValueError):
-        sl_min_eig(SLProblem(p=_const, q=_const, a=0.0, b=1.0,
-                             grid_n=256, right_bc="mixed"))
+        sl_min_eig(SLProblem(p=_const, q=_const, a=1.0, b=1.0, grid_n=256))
 
 
 # ----------------------------------------------------------------------
